@@ -15,17 +15,22 @@
 /// engines exposing the SideEffectAnalyzer query surface, so the batch
 /// analyzer and the incremental session produce the report through the
 /// same code path — byte-identical by construction, which is what the
-/// facade's cross-engine differential tests rely on.
+/// facade's cross-engine differential tests rely on.  The parallel report
+/// renders its fragments through the same renderProc / renderCallSite.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPSE_ANALYSIS_REPORT_H
 #define IPSE_ANALYSIS_REPORT_H
 
+#include "analysis/EffectKind.h"
+#include "ir/Printer.h"
 #include "ir/Program.h"
+#include "observe/Trace.h"
 
-#include <sstream>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ipse {
 namespace analysis {
@@ -37,46 +42,98 @@ struct ReportOptions {
   bool IncludeRMod = false;     ///< Per-formal RMOD/RUSE lines.
 };
 
+/// One effect kind of a session engine (incremental::AnalysisSession or
+/// demand::DemandSession, whose queries take the kind as an argument),
+/// presented through the batch analyzers' per-kind query surface so
+/// renderReport treats every engine alike.
+template <class Session> class KindView {
+public:
+  KindView(Session &S, EffectKind Kind) : S(S), Kind(Kind) {}
+  const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
+  bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
+  EffectSet dmod(ir::CallSiteId C) const { return S.dmod(C, Kind); }
+
+private:
+  Session &S;
+  EffectKind Kind;
+};
+
+/// Appends procedure \p Proc's report lines (name, GMOD, GUSE and the
+/// optional RMOD/RUSE lines) to \p Out.  \p Ranks is scratch for
+/// VarNameOrder::appendSet.
+template <class ModEngine, class UseEngine>
+void renderProc(std::string &Out, const ir::Program &P,
+                const ir::VarNameOrder &Order, ReportOptions Options,
+                const ModEngine &Mod, const UseEngine *Use, ir::ProcId Proc,
+                std::vector<std::uint32_t> &Ranks) {
+  Out += "  ";
+  Out += P.name(Proc);
+  Out += ":\n    GMOD = { ";
+  Order.appendSet(Out, Mod.gmod(Proc), Ranks);
+  Out += " }\n";
+  if (Options.IncludeUse) {
+    Out += "    GUSE = { ";
+    Order.appendSet(Out, Use->gmod(Proc), Ranks);
+    Out += " }\n";
+  }
+  if (Options.IncludeRMod) {
+    for (ir::VarId F : P.proc(Proc).Formals) {
+      Out += "    ";
+      Out += P.name(F);
+      Out += Mod.rmodContains(F) ? ": RMOD" : ": -";
+      if (Options.IncludeUse)
+        Out += Use->rmodContains(F) ? " RUSE" : " -";
+      Out += "\n";
+    }
+  }
+}
+
+/// Appends call site \p Site's report lines (endpoints, DMOD, DUSE) to
+/// \p Out.
+template <class ModEngine, class UseEngine>
+void renderCallSite(std::string &Out, const ir::Program &P,
+                    const ir::VarNameOrder &Order, ReportOptions Options,
+                    const ModEngine &Mod, const UseEngine *Use,
+                    ir::CallSiteId Site, std::vector<std::uint32_t> &Ranks) {
+  const ir::CallSite &C = P.callSite(Site);
+  Out += "  s";
+  Out += std::to_string(Site.index());
+  Out += ": ";
+  Out += P.name(C.Caller);
+  Out += " -> ";
+  Out += P.name(C.Callee);
+  Out += ":\n    DMOD = { ";
+  Order.appendSet(Out, Mod.dmod(Site), Ranks);
+  Out += " }\n";
+  if (Options.IncludeUse) {
+    Out += "    DUSE = { ";
+    Order.appendSet(Out, Use->dmod(Site), Ranks);
+    Out += " }\n";
+  }
+}
+
 /// Renders the report from finished engines.  \p Mod answers the MOD
 /// problem; \p Use (may be null iff !Options.IncludeUse) answers USE.
-/// Engines need gmod(ProcId), rmodContains(VarId), dmod(CallSiteId), and
-/// setToString(EffectSet).  Deterministic: procedures in id order, sets
-/// sorted by qualified name.
+/// Engines need gmod(ProcId), rmodContains(VarId) and dmod(CallSiteId).
+/// Deterministic: procedures in id order, sets sorted by qualified name.
+/// Names are ranked once per report (ir::VarNameOrder), so each set costs
+/// an integer sort of its members.
 template <class ModEngine, class UseEngine>
 std::string renderReport(const ir::Program &P, ReportOptions Options,
                          const ModEngine &Mod, const UseEngine *Use) {
-  std::ostringstream OS;
-  OS << "procedures:\n";
-  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
-    ir::ProcId Proc(I);
-    OS << "  " << P.name(Proc) << ":\n";
-    OS << "    GMOD = { " << Mod.setToString(Mod.gmod(Proc)) << " }\n";
-    if (Options.IncludeUse)
-      OS << "    GUSE = { " << Use->setToString(Use->gmod(Proc)) << " }\n";
-    if (Options.IncludeRMod) {
-      for (ir::VarId F : P.proc(Proc).Formals) {
-        OS << "    " << P.name(F) << ": "
-           << (Mod.rmodContains(F) ? "RMOD" : "-");
-        if (Options.IncludeUse)
-          OS << (Use->rmodContains(F) ? " RUSE" : " -");
-        OS << "\n";
-      }
-    }
-  }
-
+  observe::TraceSpan Span("render");
+  const ir::VarNameOrder Order(P);
+  std::vector<std::uint32_t> Ranks;
+  std::string Out = "procedures:\n";
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I)
+    renderProc(Out, P, Order, Options, Mod, Use, ir::ProcId(I), Ranks);
   if (Options.IncludeCallSites) {
-    OS << "call sites:\n";
-    for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
-      ir::CallSiteId Site(I);
-      const ir::CallSite &C = P.callSite(Site);
-      OS << "  s" << I << ": " << P.name(C.Caller) << " -> "
-         << P.name(C.Callee) << ":\n";
-      OS << "    DMOD = { " << Mod.setToString(Mod.dmod(Site)) << " }\n";
-      if (Options.IncludeUse)
-        OS << "    DUSE = { " << Use->setToString(Use->dmod(Site)) << " }\n";
-    }
+    Out += "call sites:\n";
+    for (std::uint32_t I = 0; I != P.numCallSites(); ++I)
+      renderCallSite(Out, P, Order, Options, Mod, Use, ir::CallSiteId(I),
+                     Ranks);
   }
-  return OS.str();
+  return Out;
 }
 
 /// Runs the pipeline(s) on \p P and renders the report via renderReport.

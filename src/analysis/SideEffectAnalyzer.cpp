@@ -8,11 +8,7 @@
 #include "analysis/SideEffectAnalyzer.h"
 
 #include "analysis/MultiLevelGMod.h"
-#include "ir/Printer.h"
 #include "support/Compiler.h"
-
-#include <algorithm>
-#include <sstream>
 
 using namespace ipse;
 using namespace ipse::analysis;
@@ -54,20 +50,4 @@ SideEffectAnalyzer::SideEffectAnalyzer(const ir::Program &P,
   case Algo::Auto:
     unreachable("Auto was resolved above");
   }
-}
-
-std::string SideEffectAnalyzer::setToString(const EffectSet &Set) const {
-  std::vector<std::string> Names;
-  Set.forEachSetBit([&](std::size_t Idx) {
-    Names.push_back(ir::qualifiedName(P, ir::VarId(
-        static_cast<std::uint32_t>(Idx))));
-  });
-  std::sort(Names.begin(), Names.end());
-  std::ostringstream OS;
-  for (std::size_t I = 0; I != Names.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << Names[I];
-  }
-  return OS.str();
 }

@@ -33,6 +33,7 @@
 #include "graph/BindingGraph.h"
 #include "graph/CallGraph.h"
 #include "ir/AliasInfo.h"
+#include "ir/Printer.h"
 #include "ir/Program.h"
 #include "observe/Trace.h"
 
@@ -98,8 +99,10 @@ public:
   }
 
   /// Renders a variable set as sorted "a, p.b, ..." text (for examples and
-  /// debugging).
-  std::string setToString(const EffectSet &Set) const;
+  /// debugging); see ir::setToString.
+  std::string setToString(const EffectSet &Set) const {
+    return ir::setToString(P, Set);
+  }
 
   /// Shared building blocks, exposed for tests and benchmarks.
   const VarMasks &masks() const { return Masks; }

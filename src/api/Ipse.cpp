@@ -8,6 +8,7 @@
 #include "api/Ipse.h"
 
 #include "frontend/Frontend.h"
+#include "ir/Printer.h"
 #include "observe/FlightRecorder.h"
 #include "observe/Metrics.h"
 #include "observe/Prometheus.h"
@@ -156,13 +157,13 @@ const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
 std::string Analysis::setToString(const EffectSet &Set) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
-    return I->SeqMod->setToString(Set);
+    return ir::setToString(I->SeqMod->program(), Set);
   case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->setToString(Set);
+    return ir::setToString(I->ParMod->program(), Set);
   case AnalysisOptions::Engine::Demand:
-    return I->Demand->setToString(Set);
+    return ir::setToString(I->Demand->program(), Set);
   default:
-    return I->Session->setToString(Set);
+    return ir::setToString(I->Session->program(), Set);
   }
 }
 
@@ -171,43 +172,6 @@ std::string Analysis::setToString(const EffectSet &Set) const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// One effect kind of a session, presented through the batch analyzers'
-/// query surface so analysis::renderReport treats all engines alike.
-class SessionKindView {
-public:
-  SessionKindView(incremental::AnalysisSession &S, EffectKind Kind)
-      : S(S), Kind(Kind) {}
-  const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
-  bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
-  EffectSet dmod(ir::CallSiteId C) const { return S.dmod(C, Kind); }
-  std::string setToString(const EffectSet &Set) const {
-    return S.setToString(Set);
-  }
-
-private:
-  incremental::AnalysisSession &S;
-  EffectKind Kind;
-};
-
-/// One effect kind of a demand session, for renderReport.  The report
-/// sweeps every procedure, so this is the one demand path that pays for
-/// the full program.
-class DemandKindView {
-public:
-  DemandKindView(demand::DemandSession &S, EffectKind Kind)
-      : S(S), Kind(Kind) {}
-  const EffectSet &gmod(ir::ProcId Proc) const { return S.gmod(Proc, Kind); }
-  bool rmodContains(ir::VarId F) const { return S.rmodContains(F, Kind); }
-  EffectSet dmod(ir::CallSiteId C) const { return S.dmod(C, Kind); }
-  std::string setToString(const EffectSet &Set) const {
-    return S.setToString(Set);
-  }
-
-private:
-  demand::DemandSession &S;
-  EffectKind Kind;
-};
 
 std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
@@ -222,16 +186,18 @@ std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
     demand::DemandOptions DO = Opts.demandView();
     DO.TrackUse = DO.TrackUse || R.IncludeUse;
     demand::DemandSession S(P, DO);
-    DemandKindView Mod(S, EffectKind::Mod);
-    DemandKindView Use(S, EffectKind::Use);
+    // The report sweeps every procedure, so this is the one demand path
+    // that pays for the full program.
+    analysis::KindView<demand::DemandSession> Mod(S, EffectKind::Mod);
+    analysis::KindView<demand::DemandSession> Use(S, EffectKind::Use);
     return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
   }
   default: {
     incremental::SessionOptions SO = Opts.sessionView();
     SO.TrackUse = SO.TrackUse || R.IncludeUse;
     incremental::AnalysisSession S(P, SO);
-    SessionKindView Mod(S, EffectKind::Mod);
-    SessionKindView Use(S, EffectKind::Use);
+    analysis::KindView<incremental::AnalysisSession> Mod(S, EffectKind::Mod);
+    analysis::KindView<incremental::AnalysisSession> Use(S, EffectKind::Use);
     return analysis::renderReport(P, R, Mod, R.IncludeUse ? &Use : nullptr);
   }
   }
@@ -337,9 +303,7 @@ ReportRun Analyzer::reportSource(std::string_view Source,
   if (Opts.Profile || Opts.Sink)
     Scope.emplace(Opts.Profile ? &Run.Costs : nullptr, Opts.Sink);
 
-  observe::ManualSpan ParseSpan("parse");
   frontend::CompileResult CR = frontend::compileMiniProc(Source);
-  ParseSpan.close();
   Run.Diagnostics = CR.Diags.renderAll();
   if (!CR.succeeded()) {
     Run.Ok = false;

@@ -278,8 +278,9 @@ public:
   ReportRun report(const ir::Program &P,
                    analysis::ReportOptions R = analysis::ReportOptions()) const;
 
-  /// Compiles MiniProc \p Source (the "parse" span) and reports.  On
-  /// compile errors Ok is false and Diagnostics carries the rendering.
+  /// Compiles MiniProc \p Source (the "lex", "parse" and "sema" spans)
+  /// and reports.  On compile errors Ok is false and Diagnostics carries
+  /// the rendering.
   ReportRun
   reportSource(std::string_view Source,
                analysis::ReportOptions R = analysis::ReportOptions()) const;

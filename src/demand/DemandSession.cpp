@@ -10,13 +10,11 @@
 #include "analysis/IModPlus.h"
 #include "analysis/LocalEffects.h"
 #include "graph/Tarjan.h"
-#include "ir/Printer.h"
 #include "ir/ProgramEditor.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 
 #include <algorithm>
-#include <sstream>
 
 using namespace ipse;
 using namespace ipse::demand;
@@ -856,22 +854,6 @@ EffectSet DemandSession::mod(ir::StmtId S, const ir::AliasInfo &Aliases) {
 
 EffectSet DemandSession::use(ir::StmtId S, const ir::AliasInfo &Aliases) {
   return effectOfStmt(EffectKind::Use, S, &Aliases);
-}
-
-std::string DemandSession::setToString(const EffectSet &Set) const {
-  std::vector<std::string> Names;
-  Set.forEachSetBit([&](std::size_t Idx) {
-    Names.push_back(
-        ir::qualifiedName(P, ir::VarId(static_cast<std::uint32_t>(Idx))));
-  });
-  std::sort(Names.begin(), Names.end());
-  std::ostringstream OS;
-  for (std::size_t I = 0; I != Names.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << Names[I];
-  }
-  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//

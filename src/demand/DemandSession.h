@@ -187,8 +187,6 @@ public:
   EffectSet use(ir::StmtId S, const ir::AliasInfo &Aliases);
   /// @}
 
-  /// Renders a variable set as sorted "a, p.b, ..." text.
-  std::string setToString(const EffectSet &Set) const;
 
   /// \name Whole-program export hooks
   /// These cover everything first (ensureSolvedAll), so they cost a full

@@ -7,8 +7,9 @@
 
 #include "frontend/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <initializer_list>
+#include <string>
+#include <utility>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -75,6 +76,54 @@ const char *frontend::tokenKindName(TokenKind Kind) {
 
 namespace {
 
+// ASCII classification, as <cctype> gives in the "C" locale, without the
+// locale lookup per character.
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
+bool isSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
+}
+
+using Spelling = std::pair<std::string_view, TokenKind>;
+
+/// The kind of the first of \p Candidates spelled \p Text, or Identifier.
+TokenKind among(std::string_view Text,
+                std::initializer_list<Spelling> Candidates) {
+  for (const Spelling &C : Candidates)
+    if (Text == C.first)
+      return C.second;
+  return TokenKind::Identifier;
+}
+
+/// The keyword spelled \p Text, or Identifier.  A switch on the length
+/// leaves at most five comparisons per identifier.
+TokenKind keywordOrIdentifier(std::string_view Text) {
+  switch (Text.size()) {
+  case 2:
+    return among(Text, {{"if", TokenKind::KwIf}, {"do", TokenKind::KwDo}});
+  case 3:
+    return among(Text, {{"var", TokenKind::KwVar}, {"end", TokenKind::KwEnd}});
+  case 4:
+    return among(Text, {{"proc", TokenKind::KwProc},
+                        {"call", TokenKind::KwCall},
+                        {"then", TokenKind::KwThen},
+                        {"else", TokenKind::KwElse},
+                        {"read", TokenKind::KwRead}});
+  case 5:
+    return among(Text, {{"begin", TokenKind::KwBegin},
+                        {"while", TokenKind::KwWhile},
+                        {"write", TokenKind::KwWrite}});
+  case 7:
+    return among(Text, {{"program", TokenKind::KwProgram}});
+  default:
+    return TokenKind::Identifier;
+  }
+}
+
 class LexerImpl {
 public:
   LexerImpl(std::string_view Source, DiagnosticEngine &Diags)
@@ -82,6 +131,9 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> Tokens;
+    // MiniProc runs about 3.5 source bytes per token; reserving one token
+    // per two bytes keeps the vector from regrowing on real sources.
+    Tokens.reserve(Source.size() / 2 + 1);
     while (true) {
       Token T = next();
       bool IsEof = T.is(TokenKind::Eof);
@@ -110,7 +162,7 @@ private:
   void skipTrivia() {
     while (!atEnd()) {
       char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         advance();
         continue;
       }
@@ -134,73 +186,65 @@ private:
     }
   }
 
-  Token make(TokenKind Kind, SourceLoc Loc, std::string Text) {
-    return Token{Kind, std::move(Text), Loc};
+  /// A token spelled by the source from \p Begin to the current position.
+  Token make(TokenKind Kind, SourceLoc Loc, std::size_t Begin) const {
+    return Token{Kind, Source.substr(Begin, Pos - Begin), Loc};
   }
 
   Token next() {
     skipTrivia();
     SourceLoc Loc{Line, Col};
     if (atEnd())
-      return make(TokenKind::Eof, Loc, "");
+      return make(TokenKind::Eof, Loc, Pos);
 
+    const std::size_t Begin = Pos;
     char C = advance();
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      std::string Text(1, C);
-      while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_'))
-        Text += advance();
-      static const std::unordered_map<std::string, TokenKind> Keywords = {
-          {"program", TokenKind::KwProgram}, {"proc", TokenKind::KwProc},
-          {"var", TokenKind::KwVar},         {"begin", TokenKind::KwBegin},
-          {"end", TokenKind::KwEnd},         {"call", TokenKind::KwCall},
-          {"if", TokenKind::KwIf},           {"then", TokenKind::KwThen},
-          {"else", TokenKind::KwElse},       {"while", TokenKind::KwWhile},
-          {"do", TokenKind::KwDo},           {"read", TokenKind::KwRead},
-          {"write", TokenKind::KwWrite},
-      };
-      auto It = Keywords.find(Text);
-      TokenKind Kind = It == Keywords.end() ? TokenKind::Identifier
-                                            : It->second;
-      return make(Kind, Loc, std::move(Text));
+    if (isIdentStart(C)) {
+      // Identifier characters never include '\n', so the column advances
+      // by the token's length.
+      while (!atEnd() && isIdentChar(Source[Pos]))
+        ++Pos;
+      Col += static_cast<unsigned>(Pos - Begin - 1);
+      return make(keywordOrIdentifier(Source.substr(Begin, Pos - Begin)), Loc,
+                  Begin);
     }
 
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      std::string Text(1, C);
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-        Text += advance();
-      return make(TokenKind::Number, Loc, std::move(Text));
+    if (isDigit(C)) {
+      while (!atEnd() && isDigit(Source[Pos]))
+        ++Pos;
+      Col += static_cast<unsigned>(Pos - Begin - 1);
+      return make(TokenKind::Number, Loc, Begin);
     }
 
     switch (C) {
     case ':':
       if (peek() == '=') {
         advance();
-        return make(TokenKind::Assign, Loc, ":=");
+        return make(TokenKind::Assign, Loc, Begin);
       }
       Diags.report(Loc, "expected '=' after ':'");
-      return make(TokenKind::Error, Loc, ":");
+      return make(TokenKind::Error, Loc, Begin);
     case ';':
-      return make(TokenKind::Semicolon, Loc, ";");
+      return make(TokenKind::Semicolon, Loc, Begin);
     case ',':
-      return make(TokenKind::Comma, Loc, ",");
+      return make(TokenKind::Comma, Loc, Begin);
     case '(':
-      return make(TokenKind::LParen, Loc, "(");
+      return make(TokenKind::LParen, Loc, Begin);
     case ')':
-      return make(TokenKind::RParen, Loc, ")");
+      return make(TokenKind::RParen, Loc, Begin);
     case '+':
-      return make(TokenKind::Plus, Loc, "+");
+      return make(TokenKind::Plus, Loc, Begin);
     case '-':
-      return make(TokenKind::Minus, Loc, "-");
+      return make(TokenKind::Minus, Loc, Begin);
     case '*':
-      return make(TokenKind::Star, Loc, "*");
+      return make(TokenKind::Star, Loc, Begin);
     case '/':
-      return make(TokenKind::Slash, Loc, "/");
+      return make(TokenKind::Slash, Loc, Begin);
     case '.':
-      return make(TokenKind::Dot, Loc, ".");
+      return make(TokenKind::Dot, Loc, Begin);
     default:
       Diags.report(Loc, std::string("unexpected character '") + C + "'");
-      return make(TokenKind::Error, Loc, std::string(1, C));
+      return make(TokenKind::Error, Loc, Begin);
     }
   }
 

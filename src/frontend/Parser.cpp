@@ -8,13 +8,25 @@
 #include "frontend/Parser.h"
 
 #include <cassert>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
+#include <string_view>
 
 using namespace ipse;
 using namespace ipse::frontend;
 using namespace ipse::frontend::ast;
 
 namespace {
+
+/// The value of a Number token's digits; like strtol, saturates at
+/// LONG_MAX when the literal is out of range.
+long parseNumber(std::string_view Digits) {
+  long Value = 0;
+  if (std::from_chars(Digits.data(), Digits.data() + Digits.size(), Value)
+          .ec == std::errc::result_out_of_range)
+    return std::numeric_limits<long>::max();
+  return Value;
+}
 
 class ParserImpl {
 public:
@@ -64,7 +76,7 @@ private:
 
   std::string expectIdent() {
     if (cur().is(TokenKind::Identifier)) {
-      std::string Name = cur().Text;
+      std::string Name(cur().Text);
       advance();
       return Name;
     }
@@ -261,12 +273,12 @@ private:
     switch (cur().Kind) {
     case TokenKind::Number:
       E->K = Expr::Kind::Number;
-      E->Value = std::strtol(cur().Text.c_str(), nullptr, 10);
+      E->Value = parseNumber(cur().Text);
       advance();
       return E;
     case TokenKind::Identifier:
       E->K = Expr::Kind::VarRef;
-      E->Name = cur().Text;
+      E->Name.assign(cur().Text);
       advance();
       return E;
     case TokenKind::LParen: {

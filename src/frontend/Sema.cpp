@@ -9,8 +9,9 @@
 
 #include "ir/ProgramBuilder.h"
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 using namespace ipse;
 using namespace ipse::frontend;
@@ -32,18 +33,19 @@ struct Binding {
   }
 };
 
-/// A lexical scope: one map per procedure body, chained to the parent.
+/// A lexical scope: one hashed map per procedure body, chained to the
+/// parent.  Keys view the AST's name strings, which outlive the lowering.
 class Scope {
 public:
   explicit Scope(const Scope *Parent) : Parent(Parent) {}
 
   /// Declares \p Name; returns false if it already exists in this scope.
-  bool declare(const std::string &Name, Binding B) {
+  bool declare(std::string_view Name, Binding B) {
     return Bindings.emplace(Name, B).second;
   }
 
   /// Innermost binding for \p Name, or nullptr.
-  const Binding *lookup(const std::string &Name) const {
+  const Binding *lookup(std::string_view Name) const {
     for (const Scope *S = this; S; S = S->Parent) {
       auto It = S->Bindings.find(Name);
       if (It != S->Bindings.end())
@@ -54,7 +56,7 @@ public:
 
 private:
   const Scope *Parent;
-  std::map<std::string, Binding> Bindings;
+  std::unordered_map<std::string_view, Binding> Bindings;
 };
 
 class SemaImpl {

@@ -18,7 +18,7 @@
 
 #include "frontend/Diagnostics.h"
 
-#include <string>
+#include <string_view>
 
 namespace ipse {
 namespace frontend {
@@ -62,10 +62,11 @@ enum class TokenKind {
 /// Returns a printable name for error messages ("':='", "identifier", ...).
 const char *tokenKindName(TokenKind Kind);
 
-/// One lexed token.
+/// One lexed token.  Text is a slice of the lexed source, so tokens must
+/// not outlive the source they were lexed from.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
-  std::string Text;
+  std::string_view Text;
   SourceLoc Loc;
 
   bool is(TokenKind K) const { return Kind == K; }

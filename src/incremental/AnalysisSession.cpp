@@ -12,7 +12,6 @@
 #include "analysis/MultiLevelGMod.h"
 #include "analysis/RMod.h"
 #include "graph/CallGraph.h"
-#include "ir/Printer.h"
 #include "ir/ProgramEditor.h"
 #include "observe/Trace.h"
 #include "parallel/ParallelSolvers.h"
@@ -20,7 +19,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <sstream>
 
 using namespace ipse;
 using namespace ipse::incremental;
@@ -668,18 +666,3 @@ const EffectSet &AnalysisSession::rmodBits(EffectKind Kind) {
   return state(Kind).RModBits;
 }
 
-std::string AnalysisSession::setToString(const EffectSet &Set) const {
-  std::vector<std::string> Names;
-  Set.forEachSetBit([&](std::size_t Idx) {
-    Names.push_back(
-        ir::qualifiedName(P, ir::VarId(static_cast<std::uint32_t>(Idx))));
-  });
-  std::sort(Names.begin(), Names.end());
-  std::ostringstream OS;
-  for (std::size_t I = 0; I != Names.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << Names[I];
-  }
-  return OS.str();
-}

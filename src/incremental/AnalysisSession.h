@@ -201,8 +201,6 @@ public:
   EffectSet use(ir::StmtId S, const ir::AliasInfo &Aliases);
   /// @}
 
-  /// Renders a variable set as sorted "a, p.b, ..." text.
-  std::string setToString(const EffectSet &Set) const;
 
   /// \name Snapshot export hooks
   /// Flush pending edits, then expose the resident result bundle so a

@@ -7,6 +7,8 @@
 
 #include "ir/Printer.h"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 
 using namespace ipse;
@@ -17,6 +19,53 @@ std::string ir::qualifiedName(const Program &P, VarId V) {
   if (Var.Kind == VarKind::Global)
     return P.name(V);
   return P.name(Var.Owner) + "." + P.name(V);
+}
+
+std::string ir::setToString(const Program &P, const EffectSet &Set) {
+  std::vector<std::string> Names;
+  Set.forEachSetBit([&](std::size_t Idx) {
+    Names.push_back(qualifiedName(P, VarId(static_cast<std::uint32_t>(Idx))));
+  });
+  std::sort(Names.begin(), Names.end());
+  std::string Out;
+  for (std::size_t I = 0; I != Names.size(); ++I) {
+    if (I != 0)
+      Out += ", ";
+    Out += Names[I];
+  }
+  return Out;
+}
+
+VarNameOrder::VarNameOrder(const Program &P) {
+  const std::uint32_t NumVars = static_cast<std::uint32_t>(P.numVars());
+  std::vector<std::string> Qualified;
+  Qualified.reserve(NumVars);
+  for (std::uint32_t V = 0; V != NumVars; ++V)
+    Qualified.push_back(qualifiedName(P, VarId(V)));
+  std::vector<std::uint32_t> ByRank(NumVars);
+  std::iota(ByRank.begin(), ByRank.end(), 0u);
+  std::sort(ByRank.begin(), ByRank.end(),
+            [&](std::uint32_t A, std::uint32_t B) {
+              return Qualified[A] < Qualified[B];
+            });
+  RankOf.resize(NumVars);
+  NameOfRank.reserve(NumVars);
+  for (std::uint32_t R = 0; R != NumVars; ++R) {
+    RankOf[ByRank[R]] = R;
+    NameOfRank.push_back(std::move(Qualified[ByRank[R]]));
+  }
+}
+
+void VarNameOrder::appendSet(std::string &Out, const EffectSet &Set,
+                             std::vector<std::uint32_t> &Ranks) const {
+  Ranks.clear();
+  Set.forEachSetBit([&](std::size_t Idx) { Ranks.push_back(RankOf[Idx]); });
+  std::sort(Ranks.begin(), Ranks.end());
+  for (std::size_t I = 0; I != Ranks.size(); ++I) {
+    if (I != 0)
+      Out += ", ";
+    Out += NameOfRank[Ranks[I]];
+  }
 }
 
 static void printVarList(std::ostringstream &OS, const Program &P,

@@ -7,7 +7,7 @@
 
 #include "ir/Program.h"
 
-#include <sstream>
+#include <vector>
 
 using namespace ipse;
 using namespace ipse::ir;
@@ -24,7 +24,6 @@ bool Program::isAncestorOrSelf(ProcId Ancestor, ProcId P) const {
 }
 
 bool Program::verify(std::string &ErrorOut) const {
-  std::ostringstream OS;
   auto Fail = [&](const std::string &Msg) {
     ErrorOut = Msg;
     return false;
@@ -39,6 +38,15 @@ bool Program::verify(std::string &ErrorOut) const {
   if (!proc(main()).Formals.empty())
     return Fail("main must have no formal parameters");
 
+  // One marking pass per list instead of a scan per procedure: a child is
+  // marked when its parent's Nested list names it, so "missing from its
+  // parent's Nested list" is an O(1) test below.
+  std::vector<bool> InParentNested(Procs.size(), false);
+  for (std::uint32_t I = 0; I != Procs.size(); ++I)
+    for (ProcId N : Procs[I].Nested)
+      if (N.index() < Procs.size() && Procs[N.index()].Parent == ProcId(I))
+        InParentNested[N.index()] = true;
+
   // Procedure tree: parent links, Nested lists, and levels must agree.
   for (std::uint32_t I = 0; I != Procs.size(); ++I) {
     ProcId Id(I);
@@ -48,11 +56,7 @@ bool Program::verify(std::string &ErrorOut) const {
         return Fail("procedure " + Names.text(Pr.Name) + " has a bad parent");
       if (Pr.Level != proc(Pr.Parent).Level + 1)
         return Fail("procedure " + Names.text(Pr.Name) + " has a bad level");
-      const std::vector<ProcId> &Sibs = proc(Pr.Parent).Nested;
-      bool Found = false;
-      for (ProcId S : Sibs)
-        Found |= S == Id;
-      if (!Found)
+      if (!InParentNested[I])
         return Fail("procedure " + Names.text(Pr.Name) +
                     " missing from its parent's Nested list");
     }
@@ -93,6 +97,14 @@ bool Program::verify(std::string &ErrorOut) const {
         return Fail("statement call list is inconsistent");
   }
 
+  // Likewise, a call site is marked when its caller's CallSites list
+  // names it.
+  std::vector<bool> InCallerList(Calls.size(), false);
+  for (std::uint32_t I = 0; I != Procs.size(); ++I)
+    for (CallSiteId CS : Procs[I].CallSites)
+      if (CS.index() < Calls.size() && Calls[CS.index()].Caller == ProcId(I))
+        InCallerList[CS.index()] = true;
+
   // Call sites: callee visibility, actual/formal arity, actual visibility.
   for (std::uint32_t I = 0; I != Calls.size(); ++I) {
     const CallSite &C = Calls[I];
@@ -116,10 +128,7 @@ bool Program::verify(std::string &ErrorOut) const {
         return Fail("actual argument not visible at call site in " +
                     Names.text(proc(C.Caller).Name));
     // The caller must list this call site.
-    bool Found = false;
-    for (CallSiteId CS : proc(C.Caller).CallSites)
-      Found |= CS == CallSiteId(I);
-    if (!Found)
+    if (!InCallerList[I])
       return Fail("call site missing from its caller's list");
   }
 

@@ -178,6 +178,8 @@ private:
   /// directly (persist/Snapshot.cpp); a decoded program is re-checked with
   /// verify() before anything consumes it.
   friend class persist::ProgramCodec;
+  /// ir_test corrupts the tables directly to show verify() rejects them.
+  friend struct ProgramTablesForTest;
 
   std::vector<Procedure> Procs;
   std::vector<Variable> Vars;

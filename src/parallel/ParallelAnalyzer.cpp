@@ -7,11 +7,6 @@
 
 #include "parallel/ParallelAnalyzer.h"
 
-#include "ir/Printer.h"
-
-#include <algorithm>
-#include <sstream>
-
 using namespace ipse;
 using namespace ipse::parallel;
 
@@ -66,18 +61,3 @@ void ParallelAnalyzer::run() {
   observe::addCounter("parallel.inline_levels", Stats.InlineLevels);
 }
 
-std::string ParallelAnalyzer::setToString(const EffectSet &Set) const {
-  std::vector<std::string> Names;
-  Set.forEachSetBit([&](std::size_t Idx) {
-    Names.push_back(
-        ir::qualifiedName(P, ir::VarId(static_cast<std::uint32_t>(Idx))));
-  });
-  std::sort(Names.begin(), Names.end());
-  std::ostringstream OS;
-  for (std::size_t I = 0; I != Names.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << Names[I];
-  }
-  return OS.str();
-}

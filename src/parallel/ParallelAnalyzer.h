@@ -134,8 +134,6 @@ public:
     return analysis::modOfStmt(P, Masks, GMod, Aliases, S);
   }
 
-  /// Renders a variable set as sorted "a, p.b, ..." text.
-  std::string setToString(const EffectSet &Set) const;
 
   /// Shared building blocks, exposed for tests and benchmarks.
   const analysis::VarMasks &masks() const { return Masks; }

@@ -10,7 +10,6 @@
 #include "parallel/ParallelAnalyzer.h"
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 using namespace ipse;
@@ -39,42 +38,27 @@ std::string parallel::makeReportParallel(const Program &P,
   }
 
   // One fragment per procedure and per call site, rendered concurrently
-  // (every fragment depends only on the finished analyzers and its own id)
-  // and joined in id order — the output is the sequential makeReport's,
-  // byte for byte, at any pool width.
+  // (every fragment depends only on the finished analyzers, the shared
+  // name order and its own id) and joined in id order — the output is the
+  // sequential makeReport's, byte for byte, at any pool width.
+  observe::TraceSpan Span("render");
+  const VarNameOrder Order(P);
   std::vector<std::string> ProcFrags(P.numProcs());
   Pool.parallelFor(P.numProcs(), [&](std::size_t I) {
-    ProcId Proc(static_cast<std::uint32_t>(I));
-    std::ostringstream OS;
-    OS << "  " << P.name(Proc) << ":\n";
-    OS << "    GMOD = { " << Mod.setToString(Mod.gmod(Proc)) << " }\n";
-    if (Options.IncludeUse)
-      OS << "    GUSE = { " << Use->setToString(Use->gmod(Proc)) << " }\n";
-    if (Options.IncludeRMod) {
-      for (VarId F : P.proc(Proc).Formals) {
-        OS << "    " << P.name(F) << ": "
-           << (Mod.rmodContains(F) ? "RMOD" : "-");
-        if (Options.IncludeUse)
-          OS << (Use->rmodContains(F) ? " RUSE" : " -");
-        OS << "\n";
-      }
-    }
-    ProcFrags[I] = OS.str();
+    std::vector<std::uint32_t> Ranks;
+    analysis::renderProc(ProcFrags[I], P, Order, Options, Mod, Use.get(),
+                         ProcId(static_cast<std::uint32_t>(I)), Ranks);
   });
 
   std::vector<std::string> SiteFrags;
   if (Options.IncludeCallSites) {
     SiteFrags.resize(P.numCallSites());
     Pool.parallelFor(P.numCallSites(), [&](std::size_t I) {
-      CallSiteId Site(static_cast<std::uint32_t>(I));
-      const CallSite &C = P.callSite(Site);
-      std::ostringstream OS;
-      OS << "  s" << I << ": " << P.name(C.Caller) << " -> "
-         << P.name(C.Callee) << ":\n";
-      OS << "    DMOD = { " << Mod.setToString(Mod.dmod(Site)) << " }\n";
-      if (Options.IncludeUse)
-        OS << "    DUSE = { " << Use->setToString(Use->dmod(Site)) << " }\n";
-      SiteFrags[I] = OS.str();
+      std::vector<std::uint32_t> Ranks;
+      analysis::renderCallSite(SiteFrags[I], P, Order, Options, Mod,
+                               Use.get(),
+                               CallSiteId(static_cast<std::uint32_t>(I)),
+                               Ranks);
     });
   }
 

@@ -14,7 +14,6 @@
 #include "ir/Printer.h"
 #include "synth/ProgramGen.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
@@ -72,6 +71,14 @@ constexpr OpSpec Specs[] = {
 
 unsigned parseIndex(const std::string &S) {
   return static_cast<unsigned>(std::atoi(S.c_str()));
+}
+
+/// True if some call site invokes \p Proc.
+bool isCalled(const Program &P, ProcId Proc) {
+  for (std::uint32_t I = 0; I != P.numCallSites(); ++I)
+    if (P.callSite(ir::CallSiteId(I)).Callee == Proc)
+      return true;
+  return false;
 }
 
 } // namespace
@@ -269,6 +276,13 @@ incremental::Edit service::resolveEditCommand(const Program &P,
     E.Kind = incremental::EditKind::AddCall;
     E.Stmt = stmtAt(P, Proc, parseIndex(A[1]), LineNo);
     E.Callee = findProc(P, A[2], LineNo);
+    // ProgramEditor asserts its preconditions; a request that breaks one
+    // is refused here, before anything is applied.
+    if (E.Callee == P.main())
+      die(LineNo, "main may not be called");
+    if (!P.isAncestorOrSelf(P.proc(E.Callee).Parent, Proc))
+      die(LineNo, "call from '" + A[0] + "' to '" + A[2] +
+                      "' violates lexical scoping");
     for (std::size_t I = 3; I != A.size(); ++I)
       E.Actuals.push_back(A[I] == "_" ? ir::Actual::expression()
                                       : ir::Actual::variable(findVisibleVar(
@@ -308,10 +322,21 @@ incremental::Edit service::resolveEditCommand(const Program &P,
     E.Kind = incremental::EditKind::AddFormal;
     E.Proc = findProc(P, A[0], LineNo);
     E.Name = A[1];
+    if (E.Proc == P.main())
+      die(LineNo, "main has no formals");
+    if (isCalled(P, E.Proc))
+      die(LineNo, "'" + A[0] + "' is called; a new formal would break the "
+                               "arity of its call sites");
     return E;
   case ScriptCommand::Op::RmProc:
     E.Kind = incremental::EditKind::RemoveProc;
     E.Proc = findProc(P, A[0], LineNo);
+    if (E.Proc == P.main())
+      die(LineNo, "main may not be removed");
+    if (!P.proc(E.Proc).Nested.empty())
+      die(LineNo, "'" + A[0] + "' has nested procedures");
+    if (isCalled(P, E.Proc))
+      die(LineNo, "'" + A[0] + "' is still called");
     return E;
   default:
     die(LineNo, "not an edit command");
@@ -386,22 +411,6 @@ bool DemandSessionQueryTarget::demandCounters(
   return true;
 }
 
-std::string service::setToString(const Program &P, const EffectSet &Set) {
-  std::vector<std::string> Names;
-  Set.forEachSetBit([&](std::size_t Idx) {
-    Names.push_back(
-        ir::qualifiedName(P, VarId(static_cast<std::uint32_t>(Idx))));
-  });
-  std::sort(Names.begin(), Names.end());
-  std::ostringstream OS;
-  for (std::size_t I = 0; I != Names.size(); ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << Names[I];
-  }
-  return OS.str();
-}
-
 namespace {
 
 /// `check`: the target's answers must equal a fresh batch analysis of its
@@ -448,7 +457,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
     bool IsMod = Cmd.Kind == ScriptCommand::Op::GMod;
     const EffectSet &Set = IsMod ? Target.gmod(Proc) : Target.guse(Proc);
     OS << (IsMod ? "GMOD" : "GUSE") << "(" << A[0] << ") = {"
-       << setToString(Target.program(), Set) << "}";
+       << ir::setToString(Target.program(), Set) << "}";
     return QueryResult{OS.str(), true};
   }
   case ScriptCommand::Op::RMod: {
@@ -472,7 +481,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
     bool IsMod = Cmd.Kind == ScriptCommand::Op::Mod;
     EffectSet Set = IsMod ? Target.modNoAlias(St) : Target.useNoAlias(St);
     OS << (IsMod ? "MOD" : "USE") << "(" << A[0] << "#" << A[1] << ") = {"
-       << setToString(Target.program(), Set) << "}";
+       << ir::setToString(Target.program(), Set) << "}";
     return QueryResult{OS.str(), true};
   }
   case ScriptCommand::Op::Query: {
@@ -491,7 +500,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
       if (Hash == std::string::npos) {
         ProcId Proc = findProc(P, A[I], LineNo);
         OS << "GMOD(" << A[I] << ") = {"
-           << setToString(P, Target.gmod(Proc)) << "}";
+           << ir::setToString(P, Target.gmod(Proc)) << "}";
         continue;
       }
       std::string Name = A[I].substr(0, Hash);
@@ -502,7 +511,7 @@ QueryResult service::evalQueryCommand(const QueryTarget &Target,
         die(LineNo, "procedure '" + Name + "' has only " +
                         std::to_string(Sites.size()) + " call sites");
       OS << "DMOD(" << Name << "#" << K << ") = {"
-         << setToString(P, Target.dmodSite(Sites[K])) << "}";
+         << ir::setToString(P, Target.dmodSite(Sites[K])) << "}";
     }
     QueryResult R;
     R.Text = OS.str();

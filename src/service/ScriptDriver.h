@@ -275,10 +275,6 @@ struct QueryResult {
 QueryResult evalQueryCommand(const QueryTarget &Target,
                              const ScriptCommand &Cmd);
 
-/// Renders a variable set as sorted "a, p.b, ..." text (the rendering every
-/// driver shares).
-std::string setToString(const ir::Program &P, const EffectSet &Set);
-
 } // namespace service
 } // namespace ipse
 

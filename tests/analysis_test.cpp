@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AliasEstimator.h"
+#include "analysis/Report.h"
 #include "analysis/DMod.h"
 #include "analysis/GMod.h"
 #include "analysis/IModPlus.h"
@@ -13,6 +14,7 @@
 #include "analysis/RMod.h"
 #include "analysis/SideEffectAnalyzer.h"
 #include "analysis/VarMasks.h"
+#include "api/Ipse.h"
 #include "graph/BindingGraph.h"
 #include "graph/Reachability.h"
 #include "graph/CallGraph.h"
@@ -21,6 +23,11 @@
 #include "synth/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace ipse;
 using namespace ipse::analysis;
@@ -459,6 +466,174 @@ TEST(AliasEstimator, PairsPropagateDownCallChains) {
   for (const auto &[X, Y] : AI.pairs(QProc))
     FoundFG |= (X == G && Y == F) || (X == F && Y == G);
   EXPECT_TRUE(FoundFG);
+}
+
+//===----------------------------------------------------------------------===//
+// Report rendering against the string-sort reference.
+//===----------------------------------------------------------------------===//
+
+/// The renderer the report used before names were ranked once per
+/// report: every set's qualified names built and string-sorted.
+std::string referenceSetText(const Program &P, const EffectSet &Set) {
+  std::vector<std::string> Names;
+  Set.forEachSetBit([&](std::size_t Idx) {
+    Names.push_back(qualifiedName(P, VarId(static_cast<std::uint32_t>(Idx))));
+  });
+  std::sort(Names.begin(), Names.end());
+  std::ostringstream OS;
+  for (std::size_t I = 0; I != Names.size(); ++I)
+    OS << (I ? ", " : "") << Names[I];
+  return OS.str();
+}
+
+std::string referenceReport(const Program &P, ReportOptions Options) {
+  SideEffectAnalyzer Mod(P);
+  AnalyzerOptions UseOpts;
+  UseOpts.Kind = EffectKind::Use;
+  SideEffectAnalyzer Use(P, UseOpts);
+  std::ostringstream OS;
+  OS << "procedures:\n";
+  for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
+    ProcId Proc(I);
+    OS << "  " << P.name(Proc) << ":\n";
+    OS << "    GMOD = { " << referenceSetText(P, Mod.gmod(Proc)) << " }\n";
+    if (Options.IncludeUse)
+      OS << "    GUSE = { " << referenceSetText(P, Use.gmod(Proc)) << " }\n";
+    if (Options.IncludeRMod) {
+      for (VarId F : P.proc(Proc).Formals) {
+        OS << "    " << P.name(F) << ": "
+           << (Mod.rmodContains(F) ? "RMOD" : "-");
+        if (Options.IncludeUse)
+          OS << (Use.rmodContains(F) ? " RUSE" : " -");
+        OS << "\n";
+      }
+    }
+  }
+  if (Options.IncludeCallSites) {
+    OS << "call sites:\n";
+    for (std::uint32_t I = 0; I != P.numCallSites(); ++I) {
+      const CallSite &C = P.callSite(CallSiteId(I));
+      OS << "  s" << I << ": " << P.name(C.Caller) << " -> "
+         << P.name(C.Callee) << ":\n";
+      OS << "    DMOD = { " << referenceSetText(P, Mod.dmod(CallSiteId(I)))
+         << " }\n";
+      if (Options.IncludeUse)
+        OS << "    DUSE = { "
+           << referenceSetText(P, Use.dmod(CallSiteId(I))) << " }\n";
+    }
+  }
+  return OS.str();
+}
+
+/// Names chosen to stress the byte-wise order of qualified names: "g2"
+/// against "g10"; "p1.x", "p10.x" and "p1_f0.x" in one set ('.' against
+/// digits and '_'); a global "p1" beside procedure p1; upper case before
+/// lower; two procedures named f under different parents, so "f.x" is a
+/// duplicate qualified name; and a procedure whose sets are all empty.
+Program orderingStressProgram() {
+  ProgramBuilder B;
+  ProcId Main = B.createMain("main");
+  VarId G2 = B.addGlobal("g2"), G10 = B.addGlobal("g10");
+  VarId G1 = B.addGlobal("g1"), Upper = B.addGlobal("G");
+  VarId GP1 = B.addGlobal("p1"), AB = B.addGlobal("a_b");
+  VarId Z = B.addGlobal("z");
+
+  ProcId P1 = B.createProc("p1", Main);
+  VarId P1F0 = B.addFormal(P1, "f0");
+  VarId P1X = B.addLocal(P1, "x");
+  ProcId P1F = B.createProc("p1_f0", P1);
+  VarId P1FX = B.addLocal(P1F, "x");
+  ProcId P10 = B.createProc("p10", P1F);
+  VarId P10F0 = B.addFormal(P10, "f0");
+  VarId P10X = B.addLocal(P10, "x");
+  ProcId F1 = B.createProc("f", P10);
+  VarId F1Y = B.addFormal(F1, "y");
+  VarId F1X = B.addLocal(F1, "x");
+  ProcId Q = B.createProc("q", P1);
+  VarId QX = B.addLocal(Q, "x");
+  ProcId F2 = B.createProc("f", Q);
+  VarId F2X = B.addLocal(F2, "x");
+  ProcId Empty = B.createProc("empty", Main);
+
+  StmtId S = B.addStmt(Main);
+  for (VarId V : {Z, Upper, AB})
+    B.addUse(S, V);
+  B.addCallStmt(Main, P1, {G2});
+  B.addCallStmt(Main, Empty, {});
+
+  S = B.addStmt(P1);
+  B.addMod(S, P1X);
+  B.addMod(S, P1F0);
+  B.addUse(S, G1);
+  B.addCallStmt(P1, P1F, {});
+  B.addCallStmt(P1, Q, {});
+
+  S = B.addStmt(P1F);
+  B.addMod(S, P1FX);
+  B.addCallStmt(P1F, P10, {P1FX});
+
+  S = B.addStmt(P10);
+  B.addUse(S, P10F0);
+  B.addCallStmt(P10, F1, {P10X});
+
+  S = B.addStmt(F1);
+  for (VarId V : {F1Y, F1X, P1X, P1FX, P10X, G10, GP1, Upper})
+    B.addMod(S, V);
+  B.addUse(S, G2);
+  B.addUse(S, AB);
+
+  S = B.addStmt(Q);
+  B.addMod(S, QX);
+  B.addCallStmt(Q, F2, {});
+  S = B.addStmt(F2);
+  B.addMod(S, F2X);
+  B.addMod(S, QX);
+  B.addUse(S, G1);
+  return B.finish();
+}
+
+TEST(ReportRendering, MatchesStringSortReferenceOnEveryEngine) {
+  synth::ProgramGenConfig Cfg;
+  Cfg.NumProcs = 60;
+  Cfg.NumGlobals = 12;
+  Cfg.MaxNestDepth = 3;
+  Cfg.Seed = 29;
+  const Program Programs[] = {orderingStressProgram(),
+                              synth::generateProgram(Cfg)};
+
+  // The stress program's sets really do interleave the tricky names.
+  const std::string Stress =
+      referenceReport(Programs[0], ReportOptions());
+  EXPECT_NE(Stress.find("GMOD = { G, f.x, f.y, g10, p1, p1.x, p10.x, "
+                        "p1_f0.x }"),
+            std::string::npos)
+      << Stress;
+  EXPECT_NE(Stress.find("  empty:\n    GMOD = {  }\n    GUSE = {  }\n"),
+            std::string::npos)
+      << Stress;
+
+  using Engine = ipse::AnalysisOptions::Engine;
+  for (const Program &P : Programs) {
+    for (int Flags = 0; Flags != 8; ++Flags) {
+      ReportOptions RO;
+      RO.IncludeRMod = Flags & 1;
+      RO.IncludeUse = !(Flags & 2);
+      RO.IncludeCallSites = !(Flags & 4);
+      const std::string Want = referenceReport(P, RO);
+      EXPECT_EQ(makeReport(P, RO), Want) << "flags " << Flags;
+      for (Engine E : {Engine::Sequential, Engine::Parallel, Engine::Session,
+                       Engine::Demand}) {
+        ipse::AnalysisOptions O;
+        O.Backend = E;
+        O.Threads = E == Engine::Parallel ? 3 : 1;
+        O.TrackUse = RO.IncludeUse;
+        ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
+        ASSERT_TRUE(Run.Ok);
+        EXPECT_EQ(Run.Output, Want)
+            << "engine " << int(E) << " flags " << Flags;
+      }
+    }
+  }
 }
 
 } // namespace

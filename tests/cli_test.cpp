@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -195,8 +196,11 @@ TEST(Cli, ReportProfileAppendsPhaseTable) {
     std::size_t At = Out.find("profile:");
     ASSERT_NE(At, std::string::npos) << Flags << Out;
     if (ipse::observe::enabled()) {
-      EXPECT_NE(Out.find("parse", At), std::string::npos) << Flags << Out;
-      EXPECT_NE(Out.find("report", At), std::string::npos) << Flags << Out;
+      // The frontend's stages and the rendering have rows of their own.
+      for (const char *Row : {"lex", "parse", "sema", "render", "report"})
+        EXPECT_NE(Out.find(std::string("\n  ") + Row + " ", At),
+                  std::string::npos)
+            << Row << " " << Flags << Out;
       EXPECT_NE(Out.find("bv_ops", At), std::string::npos) << Flags << Out;
     }
   }
@@ -338,6 +342,63 @@ TEST(Cli, ServeReportsScriptErrorsPerRequest) {
       << Out;
   EXPECT_NE(Out.find("unknown procedure"), std::string::npos) << Out;
   EXPECT_NE(Out.find("\"ok\":false"), std::string::npos) << Out;
+}
+
+TEST(Cli, ServeRefusesEditsThatBreakProgramInvariants) {
+  // Each edit would trip a ProgramEditor assertion (and abort the server)
+  // if applied; each must be answered ok:false without being applied, and
+  // the server must keep serving, single-program and tenant alike.  In
+  // this program p7 is nested inside p6 inside p0, out of p3's scope; p4
+  // takes one argument; p0 has nested procedures; p3 is called.
+  std::string Path = testing::TempDir() + "/ipse_bad_edits.mp";
+  std::string Out;
+  ASSERT_EQ(run(cli() + " generate --seed 2 --procs 12 --depth 3 "
+                        "--globals 3 > " + Path,
+                Out),
+            0);
+  const std::map<std::uint64_t, std::string> Refused = {
+      {1, "call from 'p3' to 'p7' violates lexical scoping"},
+      {2, "arity mismatch: 'p4' takes 1 argument(s)"},
+      {3, "main may not be called"},
+      {4, "main may not be removed"},
+      {5, "'p0' has nested procedures"},
+      {6, "'p3' is still called"},
+      {7, "'p3' is called; a new formal would break the arity of its call "
+          "sites"},
+      {9, "call from 'p3' to 'p7' violates lexical scoping"}};
+  std::string Requests =
+      R"({"id":1,"cmd":"add-call p3 0 p7 _ _"}\n)"
+      R"({"id":2,"cmd":"add-call p3 0 p4 _ _"}\n)"
+      R"({"id":3,"cmd":"add-call p3 0 main"}\n)"
+      R"({"id":4,"cmd":"rm-proc main"}\n)"
+      R"({"id":5,"cmd":"rm-proc p0"}\n)"
+      R"({"id":6,"cmd":"rm-proc p3"}\n)"
+      R"({"id":7,"cmd":"add-formal p3 zz"}\n)"
+      R"({"id":8,"cmd":"open t procs=12 globals=3 seed=2 depth=3"}\n)"
+      R"({"id":9,"cmd":"add-call p3 0 p7 _ _","tenant":"t"}\n)"
+      R"({"id":10,"cmd":"check","tenant":"t"}\n)"
+      R"({"id":11,"cmd":"check"}\n)";
+  ASSERT_EQ(run("printf '" + Requests + "' | " + cli() +
+                    " serve --tenants --program " + Path,
+                Out),
+            0)
+      << Out;
+  std::istringstream Lines(Out);
+  std::map<std::uint64_t, ipse::JsonObject> ById;
+  for (std::string Line; std::getline(Lines, Line);) {
+    std::string Err;
+    auto J = ipse::parseJsonObject(Line, Err);
+    ASSERT_TRUE(J) << Err << " in " << Line;
+    ById.emplace(J->getUInt("id").value_or(0), *J);
+  }
+  ASSERT_EQ(ById.size(), 11u) << Out;
+  for (const auto &[Id, Error] : Refused) {
+    EXPECT_EQ(ById.at(Id).getBool("ok"), false) << Id << " " << Out;
+    EXPECT_EQ(ById.at(Id).getString("error"), Error) << Out;
+  }
+  for (std::uint64_t Id : {8u, 10u, 11u})
+    EXPECT_EQ(ById.at(Id).getBool("ok"), true) << Id << " " << Out;
+  EXPECT_EQ(ById.at(11).getUInt("gen"), 0u) << Out;
 }
 
 TEST(Cli, ServeNeedsAProgramSource) {

@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <string>
+
 using namespace ipse;
 using namespace ipse::frontend;
 using namespace ipse::ir;
@@ -50,6 +55,74 @@ TEST(Lexer, KeywordsAreNotPrefixes) {
   EXPECT_EQ(Kinds[0], TokenKind::Identifier);
   EXPECT_EQ(Kinds[1], TokenKind::Identifier);
   EXPECT_EQ(Kinds[2], TokenKind::Identifier);
+}
+
+TEST(Lexer, KeywordPrefixedIdentifiers) {
+  // Each spelling starts with (or extends) a keyword of another length,
+  // so the length switch must not match on a prefix.
+  DiagnosticEngine Diags;
+  std::vector<Token> Tokens =
+      lex("ends do1 program_ iff whiles proc_ e d p0 Do END", Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  ASSERT_EQ(Tokens.size(), 12u);
+  const char *Spelled[] = {"ends", "do1", "program_", "iff", "whiles",
+                           "proc_", "e", "d", "p0", "Do", "END"};
+  for (std::size_t I = 0; I != 11; ++I) {
+    EXPECT_EQ(Tokens[I].Kind, TokenKind::Identifier) << Spelled[I];
+    EXPECT_EQ(Tokens[I].Text, Spelled[I]);
+  }
+  EXPECT_EQ(Tokens[11].Kind, TokenKind::Eof);
+  // The keywords themselves, directly before the end of input.
+  EXPECT_EQ(kindsOf("do")[0], TokenKind::KwDo);
+  EXPECT_EQ(kindsOf("x;end")[2], TokenKind::KwEnd);
+}
+
+TEST(Lexer, TokensViewTheSource) {
+  // Token text is a slice of the lexed buffer, not a copy.
+  std::string Source = "program t; begin x := 42 end.";
+  DiagnosticEngine Diags;
+  std::vector<Token> Tokens = lex(Source, Diags);
+  const char *Begin = Source.data(), *End = Source.data() + Source.size();
+  for (const Token &T : Tokens) {
+    EXPECT_GE(T.Text.data(), Begin) << T.Text;
+    EXPECT_LE(T.Text.data() + T.Text.size(), End) << T.Text;
+    EXPECT_EQ(Source.substr(T.Text.data() - Begin, T.Text.size()), T.Text);
+  }
+}
+
+TEST(Frontend, ProgramOutlivesItsSource) {
+  // The compiled program owns its names: it stays usable after the source
+  // buffer the tokens viewed is overwritten and destroyed (ASan builds
+  // catch any name still viewing it).
+  std::optional<ir::Program> P;
+  {
+    std::string Source = "program outer; var shared;\n"
+                         "proc writer(f); var mine;\n"
+                         "  begin f := mine; shared := 1 end;\n"
+                         "begin call writer(shared) end.";
+    CompileResult R = compileMiniProc(Source);
+    ASSERT_TRUE(R.succeeded()) << R.Diags.renderAll();
+    P = std::move(R.Program);
+    std::fill(Source.begin(), Source.end(), '#');
+  }
+  EXPECT_EQ(P->name(P->main()), "outer");
+  EXPECT_EQ(P->name(ProcId(1)), "writer");
+  analysis::SideEffectAnalyzer An(*P);
+  EXPECT_EQ(An.setToString(An.gmod(ProcId(1))), "shared, writer.f");
+}
+
+TEST(Parser, NumberLiteralsSaturateLikeStrtol) {
+  // Number tokens are parsed from the source slice; an out-of-range
+  // literal saturates at LONG_MAX, as strtol did.
+  DiagnosticEngine Diags;
+  auto Ast = parse(lex("program t; var a; begin a := 7; "
+                       "a := 99999999999999999999999 end.",
+                       Diags),
+                   Diags);
+  ASSERT_TRUE(Ast) << Diags.renderAll();
+  ASSERT_EQ(Ast->Body.size(), 2u);
+  EXPECT_EQ(Ast->Body[0]->Value->Value, 7);
+  EXPECT_EQ(Ast->Body[1]->Value->Value, std::numeric_limits<long>::max());
 }
 
 TEST(Lexer, Comments) {

@@ -12,6 +12,18 @@
 
 #include <gtest/gtest.h>
 
+namespace ipse {
+namespace ir {
+
+/// Direct access to a Program's tables, to build the corrupt programs
+/// only a bad snapshot or a buggy editor could produce.
+struct ProgramTablesForTest {
+  static std::vector<Procedure> &procs(Program &P) { return P.Procs; }
+};
+
+} // namespace ir
+} // namespace ipse
+
 using namespace ipse;
 using namespace ipse::ir;
 
@@ -130,6 +142,40 @@ TEST(Program, VerifyAcceptsValid) {
   EXPECT_TRUE(Error.empty());
 }
 
+TEST(Program, VerifyRejectsProcedureMissingFromParentsNestedList) {
+  Example E;
+  std::vector<Procedure> &Procs = ProgramTablesForTest::procs(E.P);
+  std::vector<ProcId> &Nested = Procs[E.Main.index()].Nested;
+  ASSERT_EQ(Nested, (std::vector<ProcId>{E.QProc, E.PProc}));
+  // Every remaining entry is valid; p is simply not listed.
+  Nested = {E.QProc, E.QProc};
+  std::string Error;
+  EXPECT_FALSE(E.P.verify(Error));
+  EXPECT_EQ(Error, "procedure p missing from its parent's Nested list");
+  Nested.pop_back();
+  EXPECT_FALSE(E.P.verify(Error));
+  EXPECT_EQ(Error, "procedure p missing from its parent's Nested list");
+  Nested = {E.QProc, E.PProc};
+  EXPECT_TRUE(E.P.verify(Error)) << Error;
+}
+
+TEST(Program, VerifyRejectsCallSiteMissingFromCallersList) {
+  Example E;
+  std::vector<Procedure> &Procs = ProgramTablesForTest::procs(E.P);
+  std::vector<CallSiteId> &MainSites = Procs[E.Main.index()].CallSites;
+  ASSERT_EQ(MainSites, std::vector<CallSiteId>{E.CallP});
+  // A list naming another procedure's call site does not list this one.
+  MainSites = {E.CallQ};
+  std::string Error;
+  EXPECT_FALSE(E.P.verify(Error));
+  EXPECT_EQ(Error, "call site missing from its caller's list");
+  MainSites.clear();
+  EXPECT_FALSE(E.P.verify(Error));
+  EXPECT_EQ(Error, "call site missing from its caller's list");
+  MainSites = {E.CallP};
+  EXPECT_TRUE(E.P.verify(Error)) << Error;
+}
+
 TEST(Program, NestingTree) {
   ProgramBuilder B;
   ProcId Main = B.createMain("m");
@@ -215,6 +261,20 @@ TEST(Printer, QualifiedNames) {
   EXPECT_EQ(qualifiedName(E.P, E.G), "g");
   EXPECT_EQ(qualifiedName(E.P, E.X), "p.x");
   EXPECT_EQ(qualifiedName(E.P, E.C), "q.c");
+}
+
+TEST(Printer, SetToStringSortsQualifiedNames) {
+  Example E;
+  EffectSet Set(E.P.numVars());
+  EXPECT_EQ(setToString(E.P, Set), "");
+  for (VarId V : {E.X, E.C, E.H, E.G, E.A})
+    Set.set(V.index());
+  EXPECT_EQ(setToString(E.P, Set), "g, h, p.a, p.x, q.c");
+  VarNameOrder Order(E.P);
+  std::vector<std::uint32_t> Ranks;
+  std::string Out = "{";
+  Order.appendSet(Out, Set, Ranks);
+  EXPECT_EQ(Out, "{g, h, p.a, p.x, q.c");
 }
 
 TEST(AliasInfo, StoresNormalizedPairs) {

@@ -137,7 +137,7 @@ TEST(ScriptDriver, SessionQueriesMatchDirectSessionCalls) {
     std::string Name = P.name(ir::ProcId(I));
     QueryResult G = evalQueryCommand(Target, *parseScriptLine("gmod " + Name, 1));
     EXPECT_EQ(G.Text, "GMOD(" + Name + ") = {" +
-                          setToString(P, S.gmod(ir::ProcId(I))) + "}");
+                          ir::setToString(P, S.gmod(ir::ProcId(I))) + "}");
   }
   QueryResult C = evalQueryCommand(Target, *parseScriptLine("check", 1));
   EXPECT_TRUE(C.CheckOk);
@@ -219,7 +219,7 @@ TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
   incremental::AnalysisSession S(makeProgram());
   auto Snap = AnalysisSnapshot::capture(S, S.generation());
   std::string Before =
-      setToString(Snap->program(), Snap->gmod(S.program().main()));
+      ir::setToString(Snap->program(), Snap->gmod(S.program().main()));
   std::size_t ProcsBefore = Snap->program().numProcs();
 
   // Mutate the session heavily; the snapshot must not move.
@@ -230,8 +230,9 @@ TEST(AnalysisSnapshot, IsImmuneToLaterSessionEdits) {
   S.flush();
 
   EXPECT_EQ(Snap->program().numProcs(), ProcsBefore);
-  EXPECT_EQ(setToString(Snap->program(), Snap->gmod(Snap->program().main())),
-            Before);
+  EXPECT_EQ(
+      ir::setToString(Snap->program(), Snap->gmod(Snap->program().main())),
+      Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,7 +251,7 @@ TEST(AnalysisService, AnswersQueriesAndAppliesEdits) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Generation, 0u);
   EXPECT_EQ(R.Result, "GMOD(" + MainName + ") = {" +
-                          setToString(Ref.program(),
+                          ir::setToString(Ref.program(),
                                       Ref.gmod(Ref.program().main())) +
                           "}");
 
