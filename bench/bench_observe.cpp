@@ -28,7 +28,7 @@
 //  phase, so the E10 table can show where the wall time and bit-vector
 //  word operations actually go:
 //
-//   {"kind":"phase","engine":"parallel-k2","shape":"fortran-1000",
+//   {"kind":"phase","engine":"sequential","shape":"fortran-1000",
 //    "phase":"gmod","count":1,"wall_ns":180335,"bv_ops":52100}
 //
 //  Recorder rows — the flight recorder's own cost: the same engine back
@@ -44,9 +44,9 @@
 //  sequential/fortran-1000 cell: the recorder ships enabled by default
 //  in `serve`, so its overhead is a promise, not a tunable.
 //
-// Engines: the sequential batch analyzer, the parallel engine at K=2, and
-// incremental-session construction (its full-rebuild path) — all driven
-// through the ipse::Analyzer facade, like every consumer.
+// Engines: the sequential batch analyzer and incremental-session
+// construction (its full-rebuild path) — both driven through the
+// ipse::Analyzer facade, like every consumer.
 //
 // Under IPSE_OBSERVE=OFF the overhead rows still print (both cells then
 // time the same dormant code) and the phase rows vanish.
@@ -88,12 +88,6 @@ std::vector<EngineCell> engineCells() {
     ipse::AnalysisOptions O;
     O.Backend = ipse::AnalysisOptions::Engine::Sequential;
     Cells.push_back({"sequential", O});
-  }
-  {
-    ipse::AnalysisOptions O;
-    O.Backend = ipse::AnalysisOptions::Engine::Parallel;
-    O.Threads = 2;
-    Cells.push_back({"parallel-k2", O});
   }
   {
     ipse::AnalysisOptions O;

@@ -15,8 +15,7 @@
 /// engines exposing the SideEffectAnalyzer query surface, so the batch
 /// analyzer and the incremental session produce the report through the
 /// same code path — byte-identical by construction, which is what the
-/// facade's cross-engine differential tests rely on.  The parallel report
-/// renders its fragments through the same renderProc / renderCallSite.
+/// facade's cross-engine differential tests rely on.
 ///
 //===----------------------------------------------------------------------===//
 

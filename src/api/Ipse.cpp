@@ -12,8 +12,6 @@
 #include "observe/FlightRecorder.h"
 #include "observe/Metrics.h"
 #include "observe/Prometheus.h"
-#include "parallel/ParallelReport.h"
-#include "parallel/ThreadPool.h"
 #include "service/ScriptDriver.h"
 
 #include <cassert>
@@ -35,9 +33,6 @@ struct Analysis::Impl {
 
   // Sequential.
   std::unique_ptr<analysis::SideEffectAnalyzer> SeqMod, SeqUse;
-  // Parallel (MOD and USE share one pool).
-  std::unique_ptr<parallel::ThreadPool> Pool;
-  std::unique_ptr<parallel::ParallelAnalyzer> ParMod, ParUse;
   // Session.
   std::unique_ptr<incremental::AnalysisSession> Session;
   // Demand (lazy: queries solve their region on first touch).
@@ -67,8 +62,6 @@ const EffectSet &Analysis::gmod(ir::ProcId Proc, EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmod(Proc);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).gmod(Proc);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->gmod(Proc, Kind);
   default:
@@ -83,9 +76,6 @@ bool Analysis::rmodContains(ir::VarId Formal, EffectKind Kind) const {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse)
         .rmodContains(Formal);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse)
-        .rmodContains(Formal);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->rmodContains(Formal, Kind);
   default:
@@ -97,8 +87,6 @@ EffectSet Analysis::dmod(ir::StmtId S) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return I->SeqMod->dmod(S);
-  case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->dmod(S);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->dmod(S);
   default:
@@ -116,8 +104,6 @@ EffectSet Analysis::dmod(ir::CallSiteId C, EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).dmod(C);
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).dmod(C);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->dmod(C, Kind);
   default:
@@ -129,8 +115,6 @@ EffectSet Analysis::mod(ir::StmtId S, const ir::AliasInfo &Aliases) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return I->SeqMod->mod(S, Aliases);
-  case AnalysisOptions::Engine::Parallel:
-    return I->ParMod->mod(S, Aliases);
   case AnalysisOptions::Engine::Demand:
     return I->Demand->mod(S, Aliases);
   default:
@@ -144,8 +128,6 @@ const analysis::GModResult &Analysis::gmodResult(EffectKind Kind) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return (Kind == EffectKind::Mod ? *I->SeqMod : *I->SeqUse).gmodResult();
-  case AnalysisOptions::Engine::Parallel:
-    return (Kind == EffectKind::Mod ? *I->ParMod : *I->ParUse).gmodResult();
   case AnalysisOptions::Engine::Demand:
     // Full-plane export: forces the whole program solved.
     return I->Demand->gmodResult(Kind);
@@ -158,8 +140,6 @@ std::string Analysis::setToString(const EffectSet &Set) const {
   switch (I->Engine) {
   case AnalysisOptions::Engine::Sequential:
     return ir::setToString(I->SeqMod->program(), Set);
-  case AnalysisOptions::Engine::Parallel:
-    return ir::setToString(I->ParMod->program(), Set);
   case AnalysisOptions::Engine::Demand:
     return ir::setToString(I->Demand->program(), Set);
   default:
@@ -176,12 +156,9 @@ namespace {
 std::string renderForEngine(const AnalysisOptions &Opts, const ir::Program &P,
                             analysis::ReportOptions R) {
   observe::TraceSpan Span("report");
-  switch (Opts.resolved()) {
+  switch (Opts.Backend) {
   case AnalysisOptions::Engine::Sequential:
     return analysis::makeReport(P, R);
-  case AnalysisOptions::Engine::Parallel:
-    return parallel::makeReportParallel(P, R,
-                                        Opts.Threads < 1 ? 1 : Opts.Threads);
   case AnalysisOptions::Engine::Demand: {
     demand::DemandOptions DO = Opts.demandView();
     DO.TrackUse = DO.TrackUse || R.IncludeUse;
@@ -238,7 +215,7 @@ void printDemandStats(const demand::DemandStats &St, std::FILE *Out) {
 Analysis Analyzer::analyze(const ir::Program &P) const {
   EffectSet::setDefaultRepresentation(Opts.Repr);
   auto Impl = std::make_unique<Analysis::Impl>();
-  Impl->Engine = Opts.resolved();
+  Impl->Engine = Opts.Backend;
   Impl->TrackUse = Opts.TrackUse;
   {
     std::optional<observe::TraceScope> Scope;
@@ -253,22 +230,6 @@ Analysis Analyzer::analyze(const ir::Program &P) const {
         Impl->SeqUse = std::make_unique<analysis::SideEffectAnalyzer>(
             P, Opts.analyzerView(EffectKind::Use));
       break;
-    case AnalysisOptions::Engine::Parallel: {
-      // The facade lends one pool to both kinds, so the small-program
-      // floor is applied here, where the pool is sized.
-      const unsigned Eff =
-          Opts.parallelView(EffectKind::Mod).effectiveThreads(P.numProcs());
-      observe::addCounter("parallel.effective_threads", Eff);
-      if (Eff < (Opts.Threads < 1 ? 1u : Opts.Threads))
-        observe::addCounter("parallel.small_program_clamp", 1);
-      Impl->Pool = std::make_unique<parallel::ThreadPool>(Eff);
-      Impl->ParMod = std::make_unique<parallel::ParallelAnalyzer>(
-          P, Opts.parallelView(EffectKind::Mod), *Impl->Pool);
-      if (Opts.TrackUse)
-        Impl->ParUse = std::make_unique<parallel::ParallelAnalyzer>(
-            P, Opts.parallelView(EffectKind::Use), *Impl->Pool);
-      break;
-    }
     case AnalysisOptions::Engine::Demand:
       // No eager solve: the first query pays for its region only.
       Impl->Demand =
@@ -353,7 +314,7 @@ int Analyzer::runSessionScript(const std::string &Script, std::FILE *Out,
   // Under --engine=demand the script runs against a DemandSession: edits
   // funnel through the same resolved-Edit wire form, and queries solve
   // only the region they touch.
-  const bool UseDemand = Opts.resolved() == AnalysisOptions::Engine::Demand;
+  const bool UseDemand = Opts.Backend == AnalysisOptions::Engine::Demand;
   std::optional<incremental::AnalysisSession> S;
   std::optional<demand::DemandSession> D;
   auto session = [&](unsigned LineNo) -> incremental::AnalysisSession & {

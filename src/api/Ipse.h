@@ -8,16 +8,16 @@
 /// \file
 /// The library's single public entry point.  The repository grew four
 /// engines — the sequential batch pipeline (analysis::SideEffectAnalyzer),
-/// the level-scheduled parallel batch engine (parallel::ParallelAnalyzer),
 /// the delta-driven incremental session (incremental::AnalysisSession),
-/// and the concurrent MVCC service (service::AnalysisService) — each with
-/// its own options struct and entry header.  This facade folds them behind
-/// two types:
+/// the query-driven demand session (demand::DemandSession), and the
+/// concurrent MVCC service (service::AnalysisService) — each with its own
+/// options struct and entry header.  This facade folds them behind two
+/// types:
 ///
-///  - ipse::AnalysisOptions: one options struct (engine selection, thread
-///    count, effect tracking, trace sink / profiling) with per-engine
-///    view methods.  The per-engine structs remain as the facade's
-///    internal wire format; new code should not reach for them.
+///  - ipse::AnalysisOptions: one options struct (engine selection, effect
+///    tracking, trace sink / profiling) with per-engine view methods.
+///    The per-engine structs remain as the facade's internal wire format;
+///    new code should not reach for them.
 ///
 ///  - ipse::Analyzer: the entry point.  analyze() runs a batch analysis
 ///    on the selected engine and returns a unified query handle;
@@ -46,7 +46,6 @@
 #include "ir/Program.h"
 #include "observe/CostReport.h"
 #include "observe/Trace.h"
-#include "parallel/ParallelAnalyzer.h"
 #include "service/AnalysisService.h"
 #include "support/EffectSet.h"
 #include "synth/ProgramGen.h"
@@ -65,17 +64,11 @@ namespace ipse {
 struct AnalysisOptions {
   /// Which engine answers.
   enum class Engine {
-    Auto,       ///< Parallel when Threads > 1, else Sequential.
     Sequential, ///< analysis::SideEffectAnalyzer.
-    Parallel,   ///< parallel::ParallelAnalyzer (level-scheduled pool).
     Session,    ///< incremental::AnalysisSession (delta-driven).
     Demand      ///< demand::DemandSession (query-driven region solving).
   };
-  Engine Backend = Engine::Auto;
-
-  /// Executing lanes for the parallel engine; also the session's /
-  /// service's full-rebuild lane count.  <= 1 = sequential kernels.
-  unsigned Threads = 1;
+  Engine Backend = Engine::Sequential;
 
   /// Maintain the USE pipeline alongside MOD (guse / DUSE queries and
   /// report lines need this).
@@ -142,13 +135,6 @@ struct AnalysisOptions {
   unsigned SlowMs = 0;
   /// @}
 
-  /// The engine Auto resolves to.
-  Engine resolved() const {
-    if (Backend != Engine::Auto)
-      return Backend;
-    return Threads > 1 ? Engine::Parallel : Engine::Sequential;
-  }
-
   /// \name Per-engine views (the facade's wire format)
   /// @{
   analysis::AnalyzerOptions analyzerView(analysis::EffectKind Kind) const {
@@ -157,17 +143,9 @@ struct AnalysisOptions {
     O.Algorithm = Algorithm;
     return O;
   }
-  parallel::ParallelAnalyzerOptions
-  parallelView(analysis::EffectKind Kind) const {
-    parallel::ParallelAnalyzerOptions O;
-    O.Kind = Kind;
-    O.Threads = Threads;
-    return O;
-  }
   incremental::SessionOptions sessionView() const {
     incremental::SessionOptions O;
     O.TrackUse = TrackUse;
-    O.Threads = Threads;
     return O;
   }
   demand::DemandOptions demandView() const {
@@ -181,7 +159,6 @@ struct AnalysisOptions {
     O.QueueCapacity = ServiceQueueCapacity;
     O.MaxBatch = ServiceMaxBatch;
     O.TrackUse = TrackUse;
-    O.AnalysisThreads = Threads;
     O.StatsIntervalMs = ServiceStatsIntervalMs;
     O.StatsOut = ServiceStatsOut;
     O.Sink = Sink;
@@ -202,7 +179,7 @@ struct AnalysisOptions {
     O.MaxQueuedEdits = TenantMaxQueuedEdits;
     // `--engine=demand --tenants`: tenants hold DemandSessions, publish
     // partial snapshots, and fault back in without re-solving anything.
-    O.DemandFaultIn = resolved() == Engine::Demand;
+    O.DemandFaultIn = Backend == Engine::Demand;
     // The tenant registry shares the service's data directory: the
     // single-program store's files and the per-tenant t-<name> subtrees
     // are disjoint namespaces within it.
@@ -274,7 +251,7 @@ public:
   Analysis analyze(const ir::Program &P) const;
 
   /// Renders the standard MOD/USE report for \p P.  Byte-identical across
-  /// engines at any thread count.
+  /// engines.
   ReportRun report(const ir::Program &P,
                    analysis::ReportOptions R = analysis::ReportOptions()) const;
 
@@ -286,7 +263,7 @@ public:
                analysis::ReportOptions R = analysis::ReportOptions()) const;
 
   /// Opens a long-lived incremental session over \p Initial, configured
-  /// from these options (TrackUse, Threads).
+  /// from these options (TrackUse).
   std::unique_ptr<incremental::AnalysisSession>
   open_session(ir::Program Initial) const;
 
@@ -297,7 +274,7 @@ public:
   std::unique_ptr<demand::DemandSession> open_demand(ir::Program Initial) const;
 
   /// Starts the concurrent analysis service over \p Initial, configured
-  /// from these options (service knobs, TrackUse, Threads).
+  /// from these options (service knobs, TrackUse).
   std::unique_ptr<service::AnalysisService> serve(ir::Program Initial) const;
 
   /// Starts the sharded multi-tenant registry (tenant knobs, DataDir),

@@ -14,8 +14,6 @@
 #include "graph/CallGraph.h"
 #include "ir/ProgramEditor.h"
 #include "observe/Trace.h"
-#include "parallel/ParallelSolvers.h"
-#include "parallel/ThreadPool.h"
 
 #include <algorithm>
 #include <queue>
@@ -302,13 +300,6 @@ void AnalysisSession::rebuildAll() {
   const unsigned DP = P.maxProcLevel();
   graph::CallGraph CG(P);
 
-  // Tier-3 rebuilds redo every pass over the whole program — exactly the
-  // shape the level-scheduled batch engine parallelizes.  Incremental
-  // flushes stay sequential: their dirty cones are small by construction.
-  std::unique_ptr<parallel::ThreadPool> Pool;
-  if (Opts.Threads > 1)
-    Pool = std::make_unique<parallel::ThreadPool>(Opts.Threads);
-
   for (KindState &K : States) {
     analysis::LocalEffects Local(P, *Masks, K.Kind);
     K.Own.clear();
@@ -325,16 +316,6 @@ void AnalysisSession::rebuildAll() {
       for (ir::VarId F : P.proc(ir::ProcId(I)).Formals)
         if (Local.formalBit(P, F))
           K.FormalBits.set(F.index());
-
-    if (Pool) {
-      analysis::RModResult RMod =
-          parallel::solveRModLevels(P, *BG, K.FormalBits, *Pool);
-      K.RModBits = std::move(RMod.ModifiedFormals);
-      K.IModPlus = parallel::computeIModPlusParallel(P, K.Ext, K.RModBits,
-                                                     *Pool);
-      K.GMod = parallel::solveGModLevels(P, CG, *Masks, K.IModPlus, *Pool);
-      continue;
-    }
 
     analysis::RModResult RMod = analysis::solveRModOnBits(P, *BG, K.FormalBits);
     K.RModBits = RMod.ModifiedFormals;

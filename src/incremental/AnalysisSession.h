@@ -74,12 +74,6 @@ struct SessionOptions {
   /// queries are needed (e.g. benchmarking against a single-kind batch
   /// analyzer).
   bool TrackUse = true;
-
-  /// Solve full rebuilds (tier-3 flushes and session construction) with
-  /// the level-scheduled parallel engine on this many lanes; <= 1 keeps
-  /// the sequential solvers.  Incremental flushes are dirty-cone-sized and
-  /// stay sequential either way.  Results are bit-for-bit identical.
-  unsigned Threads = 1;
 };
 
 /// Counters describing how the engine serviced its edits; the delta

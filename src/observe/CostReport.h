@@ -13,8 +13,7 @@
 /// *inclusive* (a nested span's cost also appears in its parent's row; the
 /// span taxonomy in DESIGN.md keeps parents and children distinguishable
 /// by name).  Named counters carry whatever the engines attribute
-/// explicitly — boolean steps from the RMOD solvers, pool idle time from
-/// the parallel engine.
+/// explicitly, such as the RMOD solvers' boolean steps.
 ///
 /// Rendering: toText() is the `--profile` block the CLI prints; toJson()
 /// is the flat object the observe benchmark emits per phase into

@@ -60,7 +60,6 @@ AnalysisService::AnalysisService(ir::Program Initial, ServiceOptions Options)
     Opts.MaxBatch = 1;
   incremental::SessionOptions SO;
   SO.TrackUse = Opts.TrackUse;
-  SO.Threads = Opts.AnalysisThreads;
   if (!Opts.DataDir.empty()) {
     persist::StoreOptions PO;
     PO.CompactWalRecords = Opts.CompactWalRecords;

@@ -82,10 +82,6 @@ struct ServiceOptions {
   std::size_t MaxBatch = 32;
   /// Forwarded to the session (maintain the USE pipeline).
   bool TrackUse = true;
-  /// Forwarded to the session: lanes for the level-scheduled parallel
-  /// engine on full rebuilds (construction, universe edits), where the
-  /// writer thread's flush latency is largest.  <= 1 = sequential.
-  unsigned AnalysisThreads = 1;
   /// When nonzero, a stats thread prints one statsJson() line to
   /// \c StatsOut every this-many milliseconds.
   unsigned StatsIntervalMs = 0;

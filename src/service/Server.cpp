@@ -17,6 +17,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -180,14 +181,21 @@ void service::serveLines(const LineHandler &Handle, int InFd, int OutFd) {
 
   std::string Carry;
   char Buf[4096];
-  while (true) {
+  bool TooLong = false;
+  while (!TooLong) {
     ssize_t N = ::read(InFd, Buf, sizeof(Buf));
     if (N <= 0)
       break;
+    // Carry never holds a newline, so only the bytes just read are scanned.
+    std::size_t Scan = Carry.size();
     Carry.append(Buf, static_cast<std::size_t>(N));
     std::size_t Start = 0;
-    for (std::size_t Nl; (Nl = Carry.find('\n', Start)) != std::string::npos;
-         Start = Nl + 1) {
+    for (std::size_t Nl; (Nl = Carry.find('\n', Scan)) != std::string::npos;
+         Start = Scan = Nl + 1) {
+      if (Nl - Start > MaxRequestLineBytes) {
+        TooLong = true;
+        break;
+      }
       std::string_view Line(Carry.data() + Start, Nl - Start);
       // Blank keep-alive lines get no response, so no slot; every other
       // line is answered exactly once (handleRequestLine's contract).
@@ -200,6 +208,16 @@ void service::serveLines(const LineHandler &Handle, int InFd, int OutFd) {
       Handle(Line, Emit);
     }
     Carry.erase(0, Start);
+    TooLong |= Carry.size() > MaxRequestLineBytes;
+  }
+  if (TooLong) {
+    // One answer, then stop reading: the rest of the line is never
+    // buffered, and the caller closes the connection.
+    Response R;
+    R.Ok = false;
+    R.Error = "request line longer than " +
+              std::to_string(MaxRequestLineBytes) + " bytes";
+    writeLine(OutFd, WriteMutex, renderResponse(R));
   }
 
   std::unique_lock<std::mutex> Lock(PendingMutex);
@@ -257,6 +275,10 @@ void TcpServer::acceptLoop() {
       ::close(Conn);
       return;
     }
+    // Each response is one short line; Nagle would hold the second of two
+    // back-to-back responses until the client's (possibly delayed) ACK.
+    int One = 1;
+    ::setsockopt(Conn, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     ConnFds.push_back(Conn);
     ConnThreads.emplace_back([this, Conn] {
       Handler(Conn, Conn);

@@ -73,11 +73,18 @@ void handleRequestLine(AnalysisService &Svc, std::string_view Line,
 using LineHandler = std::function<void(
     std::string_view Line, const std::function<void(const std::string &)> &Emit)>;
 
+/// The longest request line serveLines() accepts, newline excluded.  A
+/// request is a short JSON envelope around one script command; the longest
+/// a verb sends is a `load` naming a path of up to PATH_MAX (4096) bytes.
+inline constexpr std::size_t MaxRequestLineBytes = 64 * 1024;
+
 /// The protocol pump behind every front end: reads newline-delimited
 /// requests from \p InFd until EOF, hands each non-blank line to
 /// \p Handle, and writes emitted responses to \p OutFd (write-locked;
-/// service threads interleave whole lines).  Drains outstanding requests
-/// before returning.  \p Handle runs on the reading thread, so
+/// service threads interleave whole lines).  A line longer than
+/// MaxRequestLineBytes is answered with one ok:false error and ends the
+/// stream, so the caller closes the connection.  Drains outstanding
+/// requests before returning.  \p Handle runs on the reading thread, so
 /// per-connection state (the tenant front end's `attach` default) needs
 /// no locking.
 void serveLines(const LineHandler &Handle, int InFd, int OutFd);

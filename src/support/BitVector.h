@@ -98,9 +98,7 @@ public:
                             const BitVector &Drop);
 
   /// Self |= (A & Keep): orWithIntersectMinus with nothing to drop, one
-  /// operand stream cheaper.  The parallel engine's cross-level edge
-  /// filter (Below[level] keeps exactly the variables that survive the
-  /// return).  Returns true if any bit changed.
+  /// operand stream cheaper.  Returns true if any bit changed.
   bool orWithIntersect(const BitVector &A, const BitVector &Keep);
 
   /// Returns true if *this and RHS share at least one set bit.

@@ -13,7 +13,7 @@
 ///
 ///   orWith / andWith / andNotWith        — the primitive lattice ops
 ///   orWithAndNot(A, B)                   — GMOD[p] |= GMOD[q] \ LOCAL[q]
-///   orWithIntersect(A, Keep)             — the cross-level edge filter
+///   orWithIntersect(A, Keep)             — Self |= A & Keep
 ///   orWithIntersectMinus(A, Keep, Drop)  — the full §4 per-edge filter
 ///
 /// all with change detection (the solvers' fixpoint tests) and word-step

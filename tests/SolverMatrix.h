@@ -8,11 +8,11 @@
 /// \file
 /// One fixture enumerating every GMOD/GUSE engine in the repository —
 /// the three data-flow baselines, the paper's Figure 2 and §4 algorithms,
-/// the public SideEffectAnalyzer, the incremental session, and the
-/// level-scheduled parallel engine at several thread counts.  Property and
-/// edge-case suites iterate this list instead of instantiating solvers ad
-/// hoc, so a future engine added here is automatically covered by every
-/// differential test.
+/// the public SideEffectAnalyzer, the incremental session, the demand
+/// engine, and facade engines with the effect-set storage pinned.
+/// Property and edge-case suites iterate this list instead of
+/// instantiating solvers ad hoc, so a future engine added here is
+/// automatically covered by every differential test.
 ///
 /// Index 0 is the round-robin iterative baseline — the semantic oracle the
 /// others are compared against.
@@ -139,39 +139,27 @@ inline const std::vector<SolverEngine> &allSolverEngines() {
                    Opts.Backend = ipse::AnalysisOptions::Engine::Demand;
                    return viaFacade(Opts, P, K);
                  }});
-    for (unsigned Threads : {1u, 2u, 4u}) {
-      const char *Name = Threads == 1   ? "parallel-k1"
-                         : Threads == 2 ? "parallel-k2"
-                                        : "parallel-k4";
-      E.push_back({Name, false, [viaFacade, Threads](const Program &P,
-                                                     EffectKind K) {
-                     ipse::AnalysisOptions Opts;
-                     Opts.Backend = ipse::AnalysisOptions::Engine::Parallel;
-                     Opts.Threads = Threads;
-                     return viaFacade(Opts, P, K);
-                   }});
-    }
     // The representation axis: the same engines with the effect-set
     // storage pinned dense or sparse.  The oracle diff then proves the
     // byte-identity promise of AnalysisOptions::Repr, not just Auto.
     struct ReprEngine {
       const char *Name;
       ipse::AnalysisOptions::Engine Backend;
-      unsigned Threads;
       EffectSet::Representation Repr;
     };
     for (ReprEngine RE : std::initializer_list<ReprEngine>{
-             {"analyzer-dense", ipse::AnalysisOptions::Engine::Sequential, 1,
+             {"analyzer-dense", ipse::AnalysisOptions::Engine::Sequential,
               EffectSet::Representation::Dense},
-             {"analyzer-sparse", ipse::AnalysisOptions::Engine::Sequential, 1,
+             {"analyzer-sparse", ipse::AnalysisOptions::Engine::Sequential,
               EffectSet::Representation::Sparse},
-             {"parallel-k4-sparse", ipse::AnalysisOptions::Engine::Parallel, 4,
+             {"incremental-sparse", ipse::AnalysisOptions::Engine::Session,
+              EffectSet::Representation::Sparse},
+             {"demand-sparse", ipse::AnalysisOptions::Engine::Demand,
               EffectSet::Representation::Sparse}})
       E.push_back({RE.Name, false, [viaFacade, RE](const Program &P,
                                                    EffectKind K) {
                      ipse::AnalysisOptions Opts;
                      Opts.Backend = RE.Backend;
-                     Opts.Threads = RE.Threads;
                      Opts.Repr = RE.Repr;
                      analysis::GModResult R = viaFacade(Opts, P, K);
                      // Restore the process default for engines that do

@@ -621,11 +621,9 @@ TEST(ReportRendering, MatchesStringSortReferenceOnEveryEngine) {
       RO.IncludeCallSites = !(Flags & 4);
       const std::string Want = referenceReport(P, RO);
       EXPECT_EQ(makeReport(P, RO), Want) << "flags " << Flags;
-      for (Engine E : {Engine::Sequential, Engine::Parallel, Engine::Session,
-                       Engine::Demand}) {
+      for (Engine E : {Engine::Sequential, Engine::Session, Engine::Demand}) {
         ipse::AnalysisOptions O;
         O.Backend = E;
-        O.Threads = E == Engine::Parallel ? 3 : 1;
         O.TrackUse = RO.IncludeUse;
         ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
         ASSERT_TRUE(Run.Ok);

@@ -108,7 +108,8 @@ TEST(Cli, CheckAgreesOnEveryCorpusFile) {
                            "ackermann.mp"}) {
     std::string Out;
     EXPECT_EQ(run(cli() + " check " + corpus(Name), Out), 0) << Name;
-    EXPECT_NE(Out.find("all agree"), std::string::npos) << Name << Out;
+    EXPECT_NE(Out.find("5 solvers: all agree"), std::string::npos)
+        << Name << Out;
   }
 }
 
@@ -171,22 +172,42 @@ TEST(Cli, SessionRejectsBadScript) {
 }
 
 TEST(Cli, ReportEnginesAreByteIdentical) {
-  std::string Seq, Par, Sess;
+  std::string Seq, Sess, Dem;
   ASSERT_EQ(run(cli() + " report --rmod " + corpus("tower.mp"), Seq), 0);
-  ASSERT_EQ(run(cli() + " report --rmod --parallel=2 " + corpus("tower.mp"),
-                Par),
-            0);
   ASSERT_EQ(run(cli() + " report --rmod --engine=session " +
                     corpus("tower.mp"),
                 Sess),
             0);
-  EXPECT_EQ(Seq, Par);
+  ASSERT_EQ(run(cli() + " report --rmod --engine=demand " +
+                    corpus("tower.mp"),
+                Dem),
+            0);
   EXPECT_EQ(Seq, Sess);
+  EXPECT_EQ(Seq, Dem);
+}
+
+TEST(Cli, ReportRejectsUnknownOptions) {
+  // An unknown flag is a usage error, not a silently ignored argument.
+  for (const char *Flags : {"--threads=4", "--bogus"}) {
+    std::string Out;
+    EXPECT_EQ(run("(" + cli() + " report " + Flags + " " + corpus("tower.mp") +
+                      " 2>&1)",
+                  Out),
+              2)
+        << Flags;
+    EXPECT_NE(Out.find("usage:"), std::string::npos) << Flags << Out;
+  }
+  std::string Out;
+  EXPECT_EQ(run("(" + cli() + " report --engine=parallel " +
+                    corpus("tower.mp") + " 2>&1)",
+                Out),
+            2);
+  EXPECT_NE(Out.find("unknown engine 'parallel'"), std::string::npos) << Out;
 }
 
 TEST(Cli, ReportProfileAppendsPhaseTable) {
-  for (const char *Flags : {"--profile", "--profile --parallel=2",
-                            "--profile --engine=session"}) {
+  for (const char *Flags : {"--profile", "--profile --engine=session",
+                            "--profile --engine=demand"}) {
     std::string Out;
     ASSERT_EQ(run(cli() + " report " + Flags + " " + corpus("tower.mp"), Out),
               0)
@@ -243,9 +264,8 @@ std::size_t countOf(const std::string &Hay, const std::string &Needle) {
 TEST(Cli, ReportTraceFormatChromeIsOneWellFormedDocument) {
   std::string Path = testing::TempDir() + "/ipse_cli_trace.chrome.json";
   std::string Out;
-  // Four analysis threads interleave their spans into one file.
-  ASSERT_EQ(run(cli() + " report --engine=parallel --parallel=4"
-                        " --trace-out=" + Path + " --trace-format=chrome " +
+  ASSERT_EQ(run(cli() + " report --trace-out=" + Path +
+                    " --trace-format=chrome " +
                     corpus("tower.mp"),
                 Out),
             0);

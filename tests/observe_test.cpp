@@ -455,12 +455,10 @@ TEST(Facade, ReportsByteIdenticalAcrossEnginesAndProfiling) {
   const std::string Baseline = analysis::makeReport(P, RO);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Sequential, Engine::Parallel, Engine::Session}) {
+  for (Engine E : {Engine::Sequential, Engine::Session, Engine::Demand}) {
     for (bool Profile : {false, true}) {
       ipse::AnalysisOptions O;
       O.Backend = E;
-      if (E == Engine::Parallel)
-        O.Threads = 3;
       O.Profile = Profile;
       ipse::ReportRun Run = ipse::Analyzer(O).report(P, RO);
       EXPECT_TRUE(Run.Ok);
@@ -489,10 +487,9 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   ipse::Analysis Seq = ipse::Analyzer(SeqO).analyze(P);
 
   using Engine = ipse::AnalysisOptions::Engine;
-  for (Engine E : {Engine::Parallel, Engine::Session}) {
+  for (Engine E : {Engine::Session, Engine::Demand}) {
     ipse::AnalysisOptions O;
     O.Backend = E;
-    O.Threads = 2;
     ipse::Analysis A = ipse::Analyzer(O).analyze(P);
     EXPECT_EQ(A.engine(), E);
     for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
@@ -509,13 +506,13 @@ TEST(Facade, AnalyzeAnswersTheSameQueriesOnEveryEngine) {
   }
 }
 
-TEST(Facade, AutoResolvesByThreadCount) {
-  ipse::AnalysisOptions O;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Sequential);
-  O.Threads = 4;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Parallel);
-  O.Backend = ipse::AnalysisOptions::Engine::Session;
-  EXPECT_EQ(O.resolved(), ipse::AnalysisOptions::Engine::Session);
+TEST(Facade, DefaultEngineIsSequential) {
+  synth::ProgramGenConfig Cfg;
+  Cfg.NumProcs = 6;
+  Cfg.Seed = 2;
+  ir::Program P = synth::generateProgram(Cfg);
+  ipse::Analysis A = ipse::Analyzer().analyze(P);
+  EXPECT_EQ(A.engine(), ipse::AnalysisOptions::Engine::Sequential);
 }
 
 TEST(Facade, ProfiledAnalyzeCollectsPhases) {

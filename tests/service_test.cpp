@@ -9,7 +9,8 @@
 // script driver (including the EditGen -> toScriptLine -> applyEditCommand
 // round trip that lets synthetic edit streams drive the service by name),
 // snapshot capture, the concurrent service itself (MVCC semantics,
-// batching + dedup, deterministic backpressure), the TCP front end, and a
+// batching + dedup, deterministic backpressure), the TCP front end (line
+// bound, TCP_NODELAY), and a
 // randomized multi-threaded stress run whose every response is re-checked
 // bit-for-bit against the published snapshot that answered it.  The
 // stress test is the ThreadSanitizer workload in CI.
@@ -32,12 +33,19 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
 #include <thread>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace ipse;
 using namespace ipse::service;
@@ -682,6 +690,95 @@ TEST(Server, MetricsAndStatsFlowOverTcp) {
   std::FILE *Null = std::fopen("/dev/null", "w");
   EXPECT_EQ(runMetricsDump(Server.port(), true, Null), 1);
   std::fclose(Null);
+}
+
+/// Opens a raw loopback connection to \p Port (-1 on failure).
+int connectLoopback(std::uint16_t Port) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Port);
+  if (Fd >= 0 &&
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0)
+    return Fd;
+  if (Fd >= 0)
+    ::close(Fd);
+  return -1;
+}
+
+/// Writes all of \p Text to \p Fd; false if the peer went away first.
+bool sendAll(int Fd, const std::string &Text) {
+  for (std::size_t Off = 0; Off != Text.size();) {
+    ssize_t N = ::send(Fd, Text.data() + Off, Text.size() - Off, MSG_NOSIGNAL);
+    if (N <= 0)
+      return false;
+    Off += static_cast<std::size_t>(N);
+  }
+  return true;
+}
+
+/// Reads from \p Fd until the peer closes it.
+std::string readToEof(int Fd) {
+  std::string Got;
+  char Buf[4096];
+  for (ssize_t N; (N = ::read(Fd, Buf, sizeof(Buf))) > 0;)
+    Got.append(Buf, static_cast<std::size_t>(N));
+  return Got;
+}
+
+TEST(Server, OverlongRequestLineIsRefusedAndConnectionClosed) {
+  ServiceOptions Opts;
+  Opts.Workers = 1;
+  AnalysisService Svc(makeProgram(), Opts);
+  TcpServer Server(Svc);
+  std::string Error;
+  ASSERT_TRUE(Server.start(0, Error)) << Error;
+
+  // A valid request, then one byte more than the limit with no newline:
+  // the request is answered, the line is refused once, and the server
+  // closes the connection without waiting for the rest.
+  int Fd = connectLoopback(Server.port());
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(sendAll(Fd, "{\"id\":1,\"cmd\":\"gmod main\"}\n" +
+                              std::string(MaxRequestLineBytes + 1, 'x')));
+  std::string Got = readToEof(Fd);
+  ::close(Fd);
+  EXPECT_EQ(std::count(Got.begin(), Got.end(), '\n'), 2) << Got;
+  EXPECT_NE(Got.find("\"result\":\"GMOD(main) = {"), std::string::npos)
+      << Got;
+  EXPECT_NE(Got.find("{\"id\":0,\"ok\":false"), std::string::npos) << Got;
+  EXPECT_NE(Got.find("request line longer than 65536 bytes"),
+            std::string::npos)
+      << Got;
+
+  // The server itself is unharmed: a second connection is served.
+  std::string Script = "gmod main\n";
+  std::FILE *In = fmemopen(Script.data(), Script.size(), "r");
+  std::FILE *Null = std::fopen("/dev/null", "w");
+  EXPECT_EQ(runClient(Server.port(), In, Null), 0);
+  std::fclose(In);
+  std::fclose(Null);
+  Server.stop();
+}
+
+TEST(Server, AcceptedSocketsSetNoDelay) {
+  std::atomic<int> NoDelay{-1};
+  TcpServer Server([&NoDelay](int InFd, int) {
+    int V = 0;
+    socklen_t Len = sizeof(V);
+    if (::getsockopt(InFd, IPPROTO_TCP, TCP_NODELAY, &V, &Len) == 0)
+      NoDelay = V;
+  });
+  std::string Error;
+  ASSERT_TRUE(Server.start(0, Error)) << Error;
+  int Fd = connectLoopback(Server.port());
+  ASSERT_GE(Fd, 0);
+  readToEof(Fd); // The handler returns at once and the server closes.
+  ::close(Fd);
+  Server.stop();
+  EXPECT_NE(NoDelay.load(), -1) << "getsockopt failed";
+  EXPECT_NE(NoDelay.load(), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -150,6 +150,53 @@ TEST(SolverEdge, CompleteCallGraph) {
   expectAllSolversAgree(P);
 }
 
+TEST(SolverEdge, GiantScc) {
+  // Every procedure in one strongly connected component: a 64-cycle, and a
+  // complete call graph over 12 procedures whose MOD and USE seeds differ.
+  expectAllSolversAgree(synth::makeCycleProgram(64, 2));
+
+  ProgramBuilder B;
+  ProcId Main = B.createMain("m");
+  std::vector<VarId> G;
+  std::vector<ProcId> Procs;
+  for (unsigned I = 0; I != 12; ++I)
+    G.push_back(B.addGlobal("g" + std::to_string(I)));
+  for (unsigned I = 0; I != 12; ++I)
+    Procs.push_back(B.createProc("p" + std::to_string(I), Main));
+  for (unsigned I = 0; I != 12; ++I) {
+    StmtId S = B.addStmt(Procs[I]);
+    B.addMod(S, G[I]);
+    B.addUse(S, G[(I + 1) % 12]);
+    for (unsigned J = 0; J != 12; ++J)
+      if (I != J)
+        B.addCallStmt(Procs[I], Procs[J], {});
+  }
+  B.addCallStmt(Main, Procs[0], {});
+  expectAllSolversAgree(B.finish());
+}
+
+TEST(SolverEdge, DeepChain) {
+  // 400 procedures, each passing its formals to the next: the deepest
+  // binding chain, and one condensation component per topological level.
+  expectAllSolversAgree(synth::makeChainProgram(400, 2));
+}
+
+TEST(SolverEdge, WideStar) {
+  // main calls 300 leaves that split two globals between MOD and USE.
+  ProgramBuilder B;
+  ProcId Main = B.createMain("m");
+  VarId G0 = B.addGlobal("a");
+  VarId G1 = B.addGlobal("b");
+  for (unsigned I = 0; I != 300; ++I) {
+    ProcId Pp = B.createProc("p" + std::to_string(I), Main);
+    StmtId S = B.addStmt(Pp);
+    B.addMod(S, I % 2 ? G0 : G1);
+    B.addUse(S, I % 3 ? G1 : G0);
+    B.addCallStmt(Main, Pp, {});
+  }
+  expectAllSolversAgree(B.finish());
+}
+
 TEST(SolverEdge, AllExpressionActuals) {
   ProgramBuilder B;
   ProcId Main = B.createMain("m");

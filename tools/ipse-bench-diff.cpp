@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Folds the JSON-lines benchmark outputs (bench_incremental, bench_parallel,
-// bench_observe, bench_service) into one canonical, sorted, diffable file —
+// Folds the JSON-lines benchmark outputs (bench_incremental, bench_observe,
+// bench_service, ...) into one canonical, sorted, diffable file —
 // BENCH_ipse.json at the repo root — and gates changes against the previous
 // fold:
 //
@@ -17,8 +17,6 @@
 // row's metrics are keyed by its identity fields, e.g.
 //
 //   incremental/small/effect-add/delta_us_per_edit
-//   parallel/fortran-2000/k4/wall_ms
-//   parallel/fortran-2000/summary/speedup_k4
 //   observe/sequential/fortran-1000/gmod/bv_ops
 //   service/fortran-500/w2/qps
 //
@@ -35,8 +33,8 @@
 //
 // A second tier — HardGates — checks absolute promises against the fresh
 // fold itself, with no baseline and no escape hatch: --warn-only and
-// --threshold-scale do not apply.  Today that is parallel/*/speedup_k4,
-// the adaptive scheduler's guarantee that K=4 never loses to sequential.
+// --threshold-scale do not apply.  Today that is the flight recorder's
+// overhead on observe/sequential/fortran-1000 (at most 5%).
 //
 // Exit codes: 0 = no regression (or fresh baseline written), 1 = at least
 // one regression (suppressed by --warn-only), 2 = usage or I/O error.
@@ -100,14 +98,6 @@ std::string identIncremental(const JsonObject &Row) {
   return Shape.empty() || Mix.empty() ? "" : Shape + "/" + Mix;
 }
 
-std::string identParallel(const JsonObject &Row) {
-  // Rows are keyed by their "mode" ("seq", "k1".."k8", "summary"); the
-  // legacy "threads" field stays in the JSONL for context but no longer
-  // names rows.
-  std::string Shape = field(Row, "shape"), Mode = field(Row, "mode");
-  return Shape.empty() || Mode.empty() ? "" : Shape + "/" + Mode;
-}
-
 std::string identObserve(const JsonObject &Row) {
   std::string Kind = field(Row, "kind");
   std::string Engine = field(Row, "engine"), Shape = field(Row, "shape");
@@ -148,11 +138,6 @@ std::string identTenant(const JsonObject &Row) {
 const RowSpec Specs[] = {
     {"incremental", identIncremental,
      {{"delta_us_per_edit", false, 0.75, 5.0}}},
-    {"parallel", identParallel,
-     {{"wall_ms", false, 0.75, 0.5},
-      // The headline ratio of the adaptive scheduler: K=4 vs sequential.
-      // Gated both relatively (below) and absolutely (HardGates).
-      {"speedup_k4", true, 0.25, 0.1}}},
     // recorder_overhead_pct is percentage points near zero, so baseline-
     // relative drift is meaningless noise; the 3-point absolute floor
     // plus the hard gate below do the real gating.
@@ -193,18 +178,7 @@ struct HardGate {
   const char *Why;
 };
 
-// The adaptive scheduler's contract: asking for K=4 must never lose to
-// the sequential engine.  On a single-core host the solvers delegate to
-// their sequential counterparts and the ratio sits at ~0.95-1.0 (the
-// parallel facade's constant per-run cost over sub-ms solves); on a
-// many-core host the wide shapes fan out and it rises.  0.85 leaves
-// room for a sustained interference burst skewing one run's median on a
-// shared runner, nothing more — a real scheduling regression (eager
-// fan-out, schedule construction on the delegating path) measured
-// 0.73-0.75 before the adaptive policy and lands well below the floor.
 const HardGate HardGates[] = {
-    {"speedup_k4", "parallel/", 0.85, 1e300,
-     "the adaptive schedule must keep K=4 from losing to sequential"},
     // Only the sequential/fortran-1000 cell gates: it is the largest,
     // least jittery run, and the ring-write cost per span is the same
     // everywhere.  5% is generous — the recorder measures well under 1%

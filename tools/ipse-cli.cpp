@@ -79,16 +79,13 @@ namespace {
   std::fprintf(
       stderr,
       "usage: ipse-cli <command> [options] [file.mp]\n"
-      "  report [--rmod] [--no-use] [--engine=E] [--parallel[=K]]\n"
-      "         [--repr=R] [--profile] [--trace-out=FILE]\n"
-      "         [--trace-format=F] <file>\n"
+      "  report [--rmod] [--no-use] [--engine=E] [--repr=R]\n"
+      "         [--profile] [--trace-out=FILE] [--trace-format=F] <file>\n"
       "                                      MOD/USE summary report\n"
-      "                                      (--engine: sequential, parallel,\n"
-      "                                      session or demand;\n"
-      "                                      --parallel[=K]:\n"
-      "                                      the parallel engine on K lanes,\n"
-      "                                      default 4; the report is byte-\n"
-      "                                      identical on every engine.\n"
+      "                                      (--engine: sequential (the\n"
+      "                                      default), session or demand;\n"
+      "                                      the report is byte-identical\n"
+      "                                      on every engine.\n"
       "                                      --repr: effect-set storage —\n"
       "                                      auto (sparse until dense pays,\n"
       "                                      the default), dense, or sparse;\n"
@@ -128,7 +125,7 @@ namespace {
       "                                      plus the cumulative counters)\n"
       "  serve (--program <file> | --gen k=v[,k=v...] | --data-dir DIR)\n"
       "        [--port N] [--workers N] [--queue N] [--batch N]\n"
-      "        [--stats-ms N] [--no-use] [--parallel[=K]]\n"
+      "        [--stats-ms N] [--no-use]\n"
       "        [--compact-records N] [--compact-bytes N]\n"
       "        [--trace-out=FILE] [--trace-format=F] [--slow-ms N]\n"
       "        [--tenants[=SHARDS]] [--resident-cap N]\n"
@@ -208,19 +205,6 @@ std::string readFile(const std::string &Path) {
   return SS.str();
 }
 
-/// Parses "--parallel" / "--parallel=K".  Returns 0 when \p A is not this
-/// flag, otherwise the lane count (bare --parallel means 4).
-unsigned parseParallelFlag(const std::string &A) {
-  if (A == "--parallel")
-    return 4;
-  const std::string Prefix = "--parallel=";
-  if (A.compare(0, Prefix.size(), Prefix) == 0) {
-    int K = std::atoi(A.c_str() + Prefix.size());
-    return K < 1 ? 1 : static_cast<unsigned>(K);
-  }
-  return 0;
-}
-
 Program compileOrDie(const std::string &Path) {
   frontend::CompileResult R = frontend::compileMiniProc(readFile(Path));
   if (!R.succeeded()) {
@@ -239,26 +223,17 @@ struct CommonFlags {
   std::string TracePath;
   bool TraceChrome = false;
 
-  /// Consumes --engine=E / --parallel[=K] / --profile / --trace-out=FILE
+  /// Consumes --engine=E / --repr=R / --profile / --trace-out=FILE
   /// / --trace-format=jsonl|chrome.  Returns false when \p A is some
   /// other argument.  Exits on an unknown engine or trace format name.
   bool parse(const std::string &A) {
     using Engine = ipse::AnalysisOptions::Engine;
-    if (unsigned K = parseParallelFlag(A)) {
-      Opts.Backend = Engine::Parallel;
-      Opts.Threads = K;
-      return true;
-    }
     const std::string EnginePrefix = "--engine=";
     if (A.compare(0, EnginePrefix.size(), EnginePrefix) == 0) {
       std::string Name = A.substr(EnginePrefix.size());
       if (Name == "sequential")
         Opts.Backend = Engine::Sequential;
-      else if (Name == "parallel") {
-        Opts.Backend = Engine::Parallel;
-        if (Opts.Threads < 2)
-          Opts.Threads = 4;
-      } else if (Name == "session")
+      else if (Name == "session")
         Opts.Backend = Engine::Session;
       else if (Name == "demand")
         Opts.Backend = Engine::Demand;
@@ -339,6 +314,8 @@ int cmdReport(const std::vector<std::string> &Args) {
       Options.IncludeUse = false;
     else if (F.parse(A))
       ;
+    else if (A.rfind("--", 0) == 0)
+      usage();
     else
       Path = A;
   }
@@ -442,11 +419,6 @@ int cmdCheck(const std::vector<std::string> &Args) {
   baselines::IterativeResult Work =
       baselines::solveWorklist(P, CG, Masks, Local);
   baselines::SwiftResult Swift = baselines::solveSwift(P, CG, Masks, Local);
-  ipse::AnalysisOptions ParOpts;
-  ParOpts.Backend = ipse::AnalysisOptions::Engine::Parallel;
-  ParOpts.Threads = 2;
-  ParOpts.TrackUse = false;
-  ipse::Analysis Par = ipse::Analyzer(ParOpts).analyze(P);
 
   bool Ok = true;
   for (std::uint32_t I = 0; I != P.numProcs(); ++I) {
@@ -454,10 +426,8 @@ int cmdCheck(const std::vector<std::string> &Args) {
     Ok &= Rep.GMod[I] == Oracle.GMod.GMod[I];
     Ok &= Work.GMod.GMod[I] == Oracle.GMod.GMod[I];
     Ok &= Swift.GMod.GMod[I] == Oracle.GMod.GMod[I];
-    Ok &= Par.gmodResult(analysis::EffectKind::Mod).GMod[I] ==
-          Oracle.GMod.GMod[I];
   }
-  std::printf("%zu procedures, 6 solvers: %s\n", P.numProcs(),
+  std::printf("%zu procedures, 5 solvers: %s\n", P.numProcs(),
               Ok ? "all agree" : "DISAGREEMENT");
   return Ok ? 0 : 1;
 }
@@ -596,7 +566,7 @@ int cmdQuery(const std::vector<std::string> &Args) {
 
   ipse::Analyzer An(F.Opts);
   try {
-    if (F.Opts.resolved() == ipse::AnalysisOptions::Engine::Demand) {
+    if (F.Opts.Backend == ipse::AnalysisOptions::Engine::Demand) {
       std::unique_ptr<demand::DemandSession> D = An.open_demand(std::move(P));
       service::DemandSessionQueryTarget Target(*D);
       service::QueryResult R = service::evalQueryCommand(Target, Cmd);
